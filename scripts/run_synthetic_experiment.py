@@ -56,10 +56,9 @@ def main() -> int:
         for r in dev_regions
     ]
     model_graphs = [
-        decode_tags_to_graph(
-            predict(ckpt.params, ckpt.model_config, ckpt.tokenizer, d)
-        ).graph
-        for d in descs
+        decode_tags_to_graph(sent).graph
+        for sent in predict(ckpt.params, ckpt.model_config, ckpt.tokenizer, descs,
+                            ckpt.train_config.batch_size)
     ]
 
     def f(graphs, limited):

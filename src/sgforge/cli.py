@@ -18,12 +18,10 @@ from .data import (
     SyntheticGrammar,
     generate_synthetic,
     ingest,
-    region_to_json,
     split,
     write_regions,
 )
 from .errors import IdMismatchError, SgforgeError
-from .graph import graph_to_dict
 from .metrics import evaluate_corpus
 from .model import ModelConfig, predict
 from .tags import decode_tags_to_graph, read_conll, write_conll
@@ -204,23 +202,18 @@ def _cmd_parse(args) -> int:
     else:
         regions = _load_regions(args.regions)
         items = [(r.image_id, r.region_id, r.description) for r in regions]
-    tagged = [
-        predict(ckpt.params, ckpt.model_config, ckpt.tokenizer, desc)
-        for _, _, desc in items
-    ]
+    tagged = predict(
+        ckpt.params, ckpt.model_config, ckpt.tokenizer, [desc for _, _, desc in items],
+        ckpt.train_config.batch_size,
+    )
     if args.format == "conll":
         _write(args.out, write_conll(tagged))
         return 0
-    out_lines = []
-    for (image_id, region_id, desc), sent in zip(items, tagged):
-        graph = decode_tags_to_graph(sent).graph
-        record = {"image_id": image_id, "region_id": region_id, "phrase": desc}
-        g = graph_to_dict(graph)
-        record.update(
-            objects=g["objects"], attributes=g["attributes"], relationships=g["relations"]
-        )
-        out_lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    _write(args.out, "".join(line + "\n" for line in out_lines))
+    regions = [
+        Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
+        for (image_id, region_id, desc), sent in zip(items, tagged)
+    ]
+    _write(args.out, write_regions(regions))
     return 0
 
 
@@ -250,17 +243,11 @@ def _cmd_eval(args) -> int:
 
 def _cmd_convert(args) -> int:
     sentences = read_conll(_read(args.infile))
-    out_lines = []
-    for i, sent in enumerate(sentences):
-        graph = decode_tags_to_graph(sent).graph
-        phrase = " ".join(tok.form for tok in sent)
-        record = {"image_id": i, "region_id": i, "phrase": phrase}
-        g = graph_to_dict(graph)
-        record.update(
-            objects=g["objects"], attributes=g["attributes"], relationships=g["relations"]
-        )
-        out_lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    _write(args.out, "".join(line + "\n" for line in out_lines))
+    regions = [
+        Region(i, i, " ".join(tok.form for tok in sent), decode_tags_to_graph(sent).graph)
+        for i, sent in enumerate(sentences)
+    ]
+    _write(args.out, write_regions(regions))
     return 0
 
 

@@ -39,3 +39,7 @@ class EmptyDatasetError(SgforgeError):
 
 class IdMismatchError(SgforgeError):
     """Predicted and reference collections are not parallel by region id."""
+
+
+class TrainingDivergedError(SgforgeError):
+    """Training produced a non-finite loss, gradient or parameter."""

@@ -7,7 +7,6 @@ triples. Tuple extraction flattens a graph to label-level tuples for scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -157,6 +156,3 @@ def graph_from_dict(record: dict) -> SceneGraph:
         [(_uint(sid), label, _uint(oid)) for sid, label, oid in rels],
     )
 
-
-def graph_to_json(g: SceneGraph) -> str:
-    return json.dumps(graph_to_dict(g), sort_keys=True, separators=(",", ":"))

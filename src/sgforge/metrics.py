@@ -78,14 +78,12 @@ def spice_f1(
     ref: TupleSet,
     lex: Lexicon = EMPTY_LEXICON,
     cap: int | None = None,
-    clamp_pred: bool = False,
 ) -> Scores:
     """Score predicted tuples against reference tuples.
 
     cap=None is base mode. In limited mode the reference count is clamped to
     the cap, but never below the number of matches: precision stays untouched
-    and the limited F can only meet or exceed the base F. clamp_pred applies
-    the same clamp to the prediction side (sensitivity analysis only).
+    and the limited F can only meet or exceed the base F.
     """
     matches = match_count(pred, ref, lex)
     num_pred = len(pred)
@@ -94,8 +92,6 @@ def spice_f1(
         if cap < 0:
             raise ValueError("cap must be non-negative")
         num_ref = max(min(num_ref, cap), matches)
-        if clamp_pred:
-            num_pred = max(min(num_pred, cap), matches)
     return Scores(matches, num_pred, num_ref)
 
 

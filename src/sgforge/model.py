@@ -14,14 +14,15 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import LengthMismatchError, SequenceTooLongError
 from .graph import canonical_words
 from .tags import N_NODE_TYPES, NodeType, TaggedSentence, TaggedToken
-from .tokenizer import TokenSequence, Tokenizer
+from .tokenizer import PAD_ID, TokenSequence, Tokenizer
 
 Params = dict[str, np.ndarray]
 
@@ -66,6 +67,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModelOutputs:
+    """Logits of one example; inside the batched path the same blocks carry a
+    leading batch axis and right padding."""
+
     class_logits: np.ndarray  # (T, n_classes)
     parent_logits: np.ndarray  # (T, T+1), column 0 is ROOT
 
@@ -110,14 +114,41 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
+# Both GELU functions use products instead of powers (float32 pow is slow)
+# and work in place, so a call makes at most two full-size temporaries.
+
 
 def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x**3)))
+    t = x * x
+    t *= _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)  # tanh(c * (x + a * x^3))
+    t += 1.0
+    t *= x
+    t *= 0.5
+    return t
 
 
 def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
+    t = x * x
+    s = t * (3.0 * _GELU_A)
+    t *= _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    s += 1.0
+    s *= x
+    s *= 0.5 * _GELU_C  # s = c/2 * x * (1 + 3a * x^2)
+    # 0.5 * (1 + t) + s * (1 - t^2) == (1 + t) * (0.5 + s * (1 - t))
+    np.subtract(1.0, t, out=t)
+    s *= t
+    s += 0.5
+    np.subtract(2.0, t, out=t)
+    t *= s
+    return t
 
 
 _LN_EPS = 1e-5
@@ -133,7 +164,6 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 def _layer_norm_backward(dout: np.ndarray, cache, g: np.ndarray):
     y, inv = cache
-    d = y.shape[-1]
     dg = (dout * y).sum(axis=tuple(range(dout.ndim - 1)))
     db = dout.sum(axis=tuple(range(dout.ndim - 1)))
     dy = dout * g
@@ -141,55 +171,90 @@ def _layer_norm_backward(dout: np.ndarray, cache, g: np.ndarray):
     return dx, dg, db
 
 
-def _forward_cached(params: Params, cfg: ModelConfig, ids: np.ndarray):
-    """Run the backbone and head, returning outputs plus caches for backprop."""
-    L = len(ids)  # T + 1 including ROOT
+def _affine_grads(x: np.ndarray, dy: np.ndarray):
+    """Gradients of w and b in y = x @ w + b, summed over all leading axes."""
+    dy = dy.reshape(-1, dy.shape[-1])
+    return x.reshape(-1, x.shape[-1]).T @ dy, dy.sum(axis=0)
+
+
+def _rows(rows, width: int, fill: int) -> np.ndarray:
+    """Integer rows right-padded with `fill` into one (len(rows), width) array."""
+    out = np.full((len(rows), width), fill, dtype=np.int64)
+    for dst, row in zip(out, rows):
+        dst[: len(row)] = row
+    return out
+
+
+def _pad(cfg: ModelConfig, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad a batch with PAD_ID: ids (B, L) and true lengths (B,)."""
+    lengths = np.array([len(seq) for seq in seqs])
+    if lengths.max() > cfg.max_len + 1:
+        raise SequenceTooLongError(f"sequence length {lengths.max()} exceeds {cfg.max_len + 1}")
+    return _rows([seq.ids for seq in seqs], lengths.max(), PAD_ID), lengths
+
+
+def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndarray,
+             caches: list | None = None):
+    """Backbone and head on a right-padded (B, L) batch; with `caches`, each
+    layer appends what its backward pass needs.
+
+    The backbone is causal and padding is on the right, so no real position
+    attends to a padded one; only the bidirectional parent logits need a
+    mask, -inf on padded columns.
+    """
+    B, L = ids.shape
     d, nh = cfg.d_model, cfg.n_heads
     dh = d // nh
     x = params["tok_emb"][ids] + params["pos_emb"][:L]
-    layer_caches = []
+    causal = np.tril(np.ones((L, L), dtype=bool))
     for l in range(cfg.n_layers):
         pre = f"layer{l}."
         a_in = x
         qkv = a_in @ params[pre + "attn.w_qkv"] + params[pre + "attn.b_qkv"]
-        q, k, v = np.split(qkv, 3, axis=-1)
-        # (heads, L, dh)
-        qh = q.reshape(L, nh, dh).transpose(1, 0, 2)
-        kh = k.reshape(L, nh, dh).transpose(1, 0, 2)
-        vh = v.reshape(L, nh, dh).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(dh)
-        causal = np.tril(np.ones((L, L), dtype=bool))
-        scores = np.where(causal, scores, -np.inf)
-        probs = softmax(scores, axis=-1)
-        ctx = probs @ vh  # (nh, L, dh)
-        ctx_cat = ctx.transpose(1, 0, 2).reshape(L, d)
-        attn = ctx_cat @ params[pre + "attn.w_o"] + params[pre + "attn.b_o"]
-        r1 = a_in + attn
+        qh, kh, vh = qkv.reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (B, nh, L, dh)
+        scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh)
+        probs = softmax(np.where(causal, scores, -np.inf), axis=-1)
+        ctx_cat = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, L, d)
+        r1 = a_in + (ctx_cat @ params[pre + "attn.w_o"] + params[pre + "attn.b_o"])
         x_mid, ln1_cache = _layer_norm(r1, params[pre + "ln1.g"], params[pre + "ln1.b"])
         u = x_mid @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
-        gu = gelu(u)
-        ff = gu @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"]
-        r2 = x_mid + ff
+        r2 = x_mid + (gelu(u) @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"])
         x, ln2_cache = _layer_norm(r2, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        layer_caches.append(
-            dict(a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs, ctx_cat=ctx_cat,
-                 ln1=ln1_cache, x_mid=x_mid, u=u, gu=gu, ln2=ln2_cache)
-        )
-    hidden = x  # (L, d)
-    class_logits = hidden[1:] @ params["head.w_c"]
-    q_head = hidden[1:] @ params["head.w_q"]
+        if caches is not None:
+            caches.append(dict(a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs,
+                               ctx_cat=ctx_cat, ln1=ln1_cache, u=u, ln2=ln2_cache))
+    hidden = x  # (B, L, d)
+    class_logits = hidden[:, 1:] @ params["head.w_c"]
+    q_head = hidden[:, 1:] @ params["head.w_q"]
     k_head = hidden @ params["head.w_k"]
-    parent_logits = q_head @ k_head.T / math.sqrt(cfg.d_qk)
-    cache = dict(ids=ids, hidden=hidden, q_head=q_head, k_head=k_head, layers=layer_caches)
-    return ModelOutputs(class_logits, parent_logits), cache
+    parent_logits = q_head @ k_head.swapaxes(1, 2) / math.sqrt(cfg.d_qk)
+    padded_col = np.arange(L) >= lengths[:, None, None]
+    parent_logits = np.where(padded_col, -np.inf, parent_logits)
+    return ModelOutputs(class_logits, parent_logits), hidden, q_head, k_head
 
 
-def forward(params: Params, cfg: ModelConfig, seq: TokenSequence) -> ModelOutputs:
-    """Class logits C and parent logits P for one sequence (T rows each)."""
-    if len(seq) > cfg.max_len + 1:
-        raise SequenceTooLongError(f"sequence length {len(seq)} exceeds {cfg.max_len + 1}")
-    outputs, _ = _forward_cached(params, cfg, np.asarray(seq.ids))
-    return outputs
+def forward(params: Params, cfg: ModelConfig, seqs: list[TokenSequence]) -> list[ModelOutputs]:
+    """Class logits C and parent logits P (T rows each) for every sequence,
+    run as one right-padded batch."""
+    if not seqs:
+        return []
+    ids, lengths = _pad(cfg, seqs)
+    out = _forward(params, cfg, ids, lengths)[0]
+    return [
+        ModelOutputs(out.class_logits[i, : n - 1], out.parent_logits[i, : n - 1, :n])
+        for i, n in enumerate(lengths)
+    ]
+
+
+def forward_batches(
+    params: Params, cfg: ModelConfig, seqs: list[TokenSequence], batch_size: int
+) -> Iterator[tuple[int, ModelOutputs]]:
+    """Yield (index, outputs) for every sequence, running `forward` on
+    length-sorted batches of batch_size so that batches carry little padding."""
+    order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
+    for start in range(0, len(order), batch_size):
+        chunk = order[start : start + batch_size]
+        yield from zip(chunk, forward(params, cfg, [seqs[i] for i in chunk]))
 
 
 def target_arrays(seq: TokenSequence, target: TaggedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -217,26 +282,43 @@ def target_arrays(seq: TokenSequence, target: TaggedSentence) -> tuple[np.ndarra
     return types, parents
 
 
+def _loss_weights(types: np.ndarray, loss_weight: float = 1.0):
+    """Per-position weights of the two loss terms: 1/T on the T real rows for
+    the class term, loss_weight/K on the K non-NONE rows for the parent term,
+    and 0 on padded rows, which carry type -1."""
+    valid = types >= 0
+    arcs = valid & (types != int(NodeType.NONE))
+    w_class = valid / np.maximum(valid.sum(-1, keepdims=True), 1)
+    return w_class, arcs * (loss_weight / np.maximum(arcs.sum(-1, keepdims=True), 1))
+
+
+def loss_terms(
+    outputs: ModelOutputs, types: np.ndarray, parents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean class cross-entropy over the T positions, and mean parent
+    cross-entropy over the positions whose target type is not NONE (exactly
+    zero when there is none).
+
+    Takes one example (T rows) or a right-padded batch (B, T rows) whose
+    padded rows carry type -1; a batch gets both terms per example.
+    """
+    w_class, w_parent = _loss_weights(types)
+    log_c = outputs.class_logits - _logsumexp(outputs.class_logits)
+    log_p = outputs.parent_logits - _logsumexp(outputs.parent_logits)
+    ce_c = -np.take_along_axis(log_c, np.maximum(types, 0)[..., None], -1)[..., 0]
+    ce_p = -np.take_along_axis(log_p, parents[..., None], -1)[..., 0]
+    return (w_class * ce_c).sum(-1), (w_parent * ce_p).sum(-1)
+
+
 def loss_from_outputs(
     outputs: ModelOutputs, types: np.ndarray, parents: np.ndarray, loss_weight: float
 ) -> float:
-    """Mean class cross-entropy plus weighted mean parent cross-entropy.
-
-    Parent terms are restricted to positions whose target type is not NONE;
-    with no such position the parent term is exactly zero.
-    """
+    """Class term plus loss_weight times parent term (see `loss_terms`) for
+    one example."""
     t = outputs.class_logits.shape[0]
     if len(types) != t or len(parents) != t:
         raise LengthMismatchError(f"outputs have {t} positions, targets {len(types)}")
-    if t == 0:
-        return 0.0
-    log_c = outputs.class_logits - _logsumexp(outputs.class_logits)
-    class_term = -log_c[np.arange(t), types].mean()
-    mask = types != int(NodeType.NONE)
-    if not mask.any():
-        return float(class_term)
-    log_p = outputs.parent_logits - _logsumexp(outputs.parent_logits)
-    parent_term = -log_p[np.arange(t), parents][mask].mean()
+    class_term, parent_term = loss_terms(outputs, types, parents)
     return float(class_term + loss_weight * parent_term)
 
 
@@ -248,102 +330,98 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 def loss_output_grads(
     outputs: ModelOutputs, types: np.ndarray, parents: np.ndarray, loss_weight: float
 ):
-    """Gradients of the loss with respect to the two logit blocks.
+    """Gradients of the loss with respect to the two logit blocks, for one
+    example or per example of a padded batch (see `loss_terms`).
 
-    Parent-logit rows at NONE positions are exactly zero.
+    Parent-logit rows at NONE positions and all rows at padded positions are
+    exactly zero.
     """
-    t = outputs.class_logits.shape[0]
+    w_class, w_parent = _loss_weights(types, loss_weight)
     d_class = softmax(outputs.class_logits)
-    d_class[np.arange(t), types] -= 1.0
-    d_class /= t
-    d_parent = np.zeros_like(outputs.parent_logits)
-    mask = types != int(NodeType.NONE)
-    n_arcs = int(mask.sum())
-    if n_arcs:
-        rows = np.where(mask)[0]
-        sm = softmax(outputs.parent_logits[rows])
-        sm[np.arange(n_arcs), parents[rows]] -= 1.0
-        d_parent[rows] = loss_weight * sm / n_arcs
+    d_class -= np.arange(d_class.shape[-1]) == types[..., None]
+    d_class *= w_class[..., None]
+    d_parent = softmax(outputs.parent_logits)
+    d_parent -= np.arange(d_parent.shape[-1]) == parents[..., None]
+    d_parent *= w_parent[..., None]
     return d_class, d_parent
 
 
 def loss_and_grads(
     params: Params,
     cfg: ModelConfig,
-    seq: TokenSequence,
-    types: np.ndarray,
-    parents: np.ndarray,
+    seqs: list[TokenSequence],
+    types: list[np.ndarray],
+    parents: list[np.ndarray],
     loss_weight: float,
 ) -> tuple[float, Params]:
-    """Loss and exact gradients for every parameter tensor."""
-    if len(seq) > cfg.max_len + 1:
-        raise SequenceTooLongError(f"sequence length {len(seq)} exceeds {cfg.max_len + 1}")
-    ids = np.asarray(seq.ids)
-    outputs, cache = _forward_cached(params, cfg, ids)
-    loss = loss_from_outputs(outputs, types, parents, loss_weight)
-    d_class, d_parent = loss_output_grads(outputs, types, parents, loss_weight)
+    """Mean loss over a batch of sequences (one target array pair each) and
+    its exact gradients for every parameter tensor."""
+    ids, lengths = _pad(cfg, seqs)
+    B, L = ids.shape
+    for n, ty, pa in zip(lengths, types, parents):
+        if len(ty) != n - 1 or len(pa) != n - 1:
+            raise LengthMismatchError(f"sequence has {n - 1} positions, targets {len(ty)}")
+    tgt_types = _rows(types, L - 1, -1)
+    tgt_parents = _rows(parents, L - 1, 0)
+    caches: list[dict] = []
+    outputs, hidden, q_head, k_head = _forward(params, cfg, ids, lengths, caches)
+    class_term, parent_term = loss_terms(outputs, tgt_types, tgt_parents)
+    loss = float(np.mean(class_term + loss_weight * parent_term))
+    d_class, d_parent = loss_output_grads(outputs, tgt_types, tgt_parents, loss_weight)
+    d_class /= B
+    d_parent /= B
 
-    grads: Params = {name: np.zeros_like(tensor) for name, tensor in params.items()}
-    hidden = cache["hidden"]
-    L = hidden.shape[0]
+    # Padded rows get exactly zero gradient from the head, and causality keeps
+    # it zero through every layer, so they add nothing to any parameter.
+    grads: Params = {}
     d, nh = cfg.d_model, cfg.n_heads
     dh = d // nh
+    h1 = hidden[:, 1:]
+    grads["head.w_c"] = _affine_grads(h1, d_class)[0]
     d_hidden = np.zeros_like(hidden)
-
-    # head
-    grads["head.w_c"] += hidden[1:].T @ d_class
-    d_hidden[1:] += d_class @ params["head.w_c"].T
+    d_hidden[:, 1:] = d_class @ params["head.w_c"].T
     s = 1.0 / math.sqrt(cfg.d_qk)
-    dq_head = s * (d_parent @ cache["k_head"])
-    dk_head = s * (d_parent.T @ cache["q_head"])
-    grads["head.w_q"] += hidden[1:].T @ dq_head
-    grads["head.w_k"] += hidden.T @ dk_head
-    d_hidden[1:] += dq_head @ params["head.w_q"].T
+    dq_head = s * (d_parent @ k_head)
+    dk_head = s * (d_parent.swapaxes(1, 2) @ q_head)
+    grads["head.w_q"] = _affine_grads(h1, dq_head)[0]
+    grads["head.w_k"] = _affine_grads(hidden, dk_head)[0]
+    d_hidden[:, 1:] += dq_head @ params["head.w_q"].T
     d_hidden += dk_head @ params["head.w_k"].T
 
     dx = d_hidden
     for l in reversed(range(cfg.n_layers)):
         pre = f"layer{l}."
-        c = cache["layers"][l]
-        dr2, dg2, db2 = _layer_norm_backward(dx, c["ln2"], params[pre + "ln2.g"])
-        grads[pre + "ln2.g"] += dg2
-        grads[pre + "ln2.b"] += db2
-        dff = dr2
-        dx_mid = dr2.copy()  # residual branch
-        grads[pre + "ffn.w2"] += c["gu"].T @ dff
-        grads[pre + "ffn.b2"] += dff.sum(axis=0)
-        dgu = dff @ params[pre + "ffn.w2"].T
-        du = dgu * gelu_grad(c["u"])
-        grads[pre + "ffn.w1"] += c["x_mid"].T @ du
-        grads[pre + "ffn.b1"] += du.sum(axis=0)
-        dx_mid += du @ params[pre + "ffn.w1"].T
-        dr1, dg1, db1 = _layer_norm_backward(dx_mid, c["ln1"], params[pre + "ln1.g"])
-        grads[pre + "ln1.g"] += dg1
-        grads[pre + "ln1.b"] += db1
-        dattn = dr1
-        da_in = dr1.copy()  # residual branch
-        grads[pre + "attn.w_o"] += c["ctx_cat"].T @ dattn
-        grads[pre + "attn.b_o"] += dattn.sum(axis=0)
-        dctx_cat = dattn @ params[pre + "attn.w_o"].T
-        dctx = dctx_cat.reshape(L, nh, dh).transpose(1, 0, 2)
-        dprobs = dctx @ c["vh"].transpose(0, 2, 1)
-        dvh = c["probs"].transpose(0, 2, 1) @ dctx
+        c = caches.pop()  # free each layer's cache once its backward has run
+        dr2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
+            dx, c["ln2"], params[pre + "ln2.g"]
+        )
+        # x_mid and gelu(u) are recomputed, not cached, to keep peak memory down
+        x_mid = params[pre + "ln1.g"] * c["ln1"][0] + params[pre + "ln1.b"]
+        grads[pre + "ffn.w2"], grads[pre + "ffn.b2"] = _affine_grads(gelu(c["u"]), dr2)
+        du = dr2 @ params[pre + "ffn.w2"].T
+        du *= gelu_grad(c["u"])
+        grads[pre + "ffn.w1"], grads[pre + "ffn.b1"] = _affine_grads(x_mid, du)
+        dx_mid = dr2 + du @ params[pre + "ffn.w1"].T
+        dr1, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
+            dx_mid, c["ln1"], params[pre + "ln1.g"]
+        )
+        grads[pre + "attn.w_o"], grads[pre + "attn.b_o"] = _affine_grads(c["ctx_cat"], dr1)
+        dctx = (dr1 @ params[pre + "attn.w_o"].T).reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
         probs = c["probs"]
+        dprobs = dctx @ c["vh"].swapaxes(-1, -2)
+        dvh = probs.swapaxes(-1, -2) @ dctx
         dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
         dscores /= math.sqrt(dh)
         dqh = dscores @ c["kh"]
-        dkh = dscores.transpose(0, 2, 1) @ c["qh"]
-        dq = dqh.transpose(1, 0, 2).reshape(L, d)
-        dk = dkh.transpose(1, 0, 2).reshape(L, d)
-        dv = dvh.transpose(1, 0, 2).reshape(L, d)
-        dqkv = np.concatenate([dq, dk, dv], axis=-1)
-        grads[pre + "attn.w_qkv"] += c["a_in"].T @ dqkv
-        grads[pre + "attn.b_qkv"] += dqkv.sum(axis=0)
-        da_in += dqkv @ params[pre + "attn.w_qkv"].T
-        dx = da_in
+        dkh = dscores.swapaxes(-1, -2) @ c["qh"]
+        dqkv = np.stack([dqh, dkh, dvh]).transpose(1, 3, 0, 2, 4).reshape(B, L, 3 * d)
+        grads[pre + "attn.w_qkv"], grads[pre + "attn.b_qkv"] = _affine_grads(c["a_in"], dqkv)
+        dx = dr1 + dqkv @ params[pre + "attn.w_qkv"].T
 
+    grads["tok_emb"] = np.zeros_like(params["tok_emb"])
     np.add.at(grads["tok_emb"], ids, dx)
-    grads["pos_emb"][:L] += dx
+    grads["pos_emb"] = np.zeros_like(params["pos_emb"])
+    grads["pos_emb"][:L] = dx.sum(axis=0)
     return loss, grads
 
 
@@ -367,10 +445,12 @@ def read_tags(
 
 
 def predict(
-    params: Params, cfg: ModelConfig, tokenizer: Tokenizer, text: str
-) -> TaggedSentence:
-    seq = tokenizer.encode(text)
-    words = canonical_words(text)
-    if not words:
-        return TaggedSentence(())
-    return read_tags(forward(params, cfg, seq), words, seq.word_heads)
+    params: Params, cfg: ModelConfig, tokenizer: Tokenizer, texts: list[str], batch_size: int
+) -> list[TaggedSentence]:
+    """Tag every text. Texts run in length-sorted batches of batch_size; the
+    result keeps input order."""
+    seqs = [tokenizer.encode(text) for text in texts]
+    tagged: list[TaggedSentence] = [TaggedSentence(())] * len(texts)
+    for i, out in forward_batches(params, cfg, seqs, batch_size):
+        tagged[i] = read_tags(out, canonical_words(texts[i]), seqs[i].word_heads)
+    return tagged

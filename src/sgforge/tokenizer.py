@@ -86,11 +86,13 @@ class Tokenizer:
     tokens: tuple[str, ...]  # id -> token string; rows 0..3 reserved
     merges: tuple[tuple[str, str], ...] = ()
     _ids: dict = field(default_factory=dict, repr=False, compare=False)
+    _ranks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("word", "bpe"):
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
         self._ids.update({tok: i for i, tok in enumerate(self.tokens)})
+        self._ranks.update({pair: i for i, pair in enumerate(self.merges)})
 
     @property
     def vocab_size(self) -> int:
@@ -108,9 +110,8 @@ class Tokenizer:
                 ids.append(self._id(w))
                 heads.append(len(ids) - 1)
         else:
-            ranks = {pair: i for i, pair in enumerate(self.merges)}
             for w in words:
-                for piece in apply_bpe(w, ranks):
+                for piece in apply_bpe(w, self._ranks):
                     ids.append(self._id(piece))
                 heads.append(len(ids) - 1)
         return TokenSequence(tuple(ids), tuple(heads))

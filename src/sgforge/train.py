@@ -7,22 +7,25 @@ reproduces tensors bit-exactly. Runs are deterministic under a fixed seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .align import EMPTY_LEXICON
-from .errors import EmptyDatasetError, ShapeMismatchError
-from .graph import SceneGraph, extract_tuples
+from .errors import EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
+from .graph import SceneGraph, canonical_words
 from .metrics import evaluate_corpus
 from .model import (
     ModelConfig,
     Params,
     forward,
+    forward_batches,
     init_params,
     loss_and_grads,
     loss_from_outputs,
-    predict,
+    loss_terms,
+    read_tags,
     target_arrays,
 )
 from .tags import NodeType, TaggedSentence, decode_tags_to_graph
@@ -125,19 +128,14 @@ def calibrate_lambda(params: Params, cfg: ModelConfig, batch: list[Encoded]) -> 
     n_class = 0
     total_parent = 0.0
     n_parent = 0
-    for enc in batch:
-        outputs = forward(params, cfg, enc.seq)
-        t = outputs.class_logits.shape[0]
-        if t == 0:
-            continue
-        class_mean = loss_from_outputs(outputs, enc.types, enc.parents, 0.0)
-        total_class += class_mean * t
-        n_class += t
+    for enc, outputs in zip(batch, forward(params, cfg, [enc.seq for enc in batch])):
+        class_mean, parent_mean = loss_terms(outputs, enc.types, enc.parents)
+        t = len(enc.types)
         k = int((enc.types != int(NodeType.NONE)).sum())
-        if k:
-            parent_mean = loss_from_outputs(outputs, enc.types, enc.parents, 1.0) - class_mean
-            total_parent += parent_mean * k
-            n_parent += k
+        total_class += float(class_mean) * t
+        n_class += t
+        total_parent += float(parent_mean) * k
+        n_parent += k
     if n_parent == 0 or total_parent <= 0.0:
         return 1.0
     return (total_class / n_class) / (total_parent / n_parent)
@@ -233,29 +231,33 @@ def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Enco
     return out
 
 
-def _dev_metrics(params, model_cfg, tokenizer, dev_encoded, loss_weight):
-    dev_loss = 0.0
-    n = 0
-    preds = []
-    refs = []
-    descriptions = []
-    for enc in dev_encoded:
-        outputs = forward(params, model_cfg, enc.seq)
-        dev_loss += loss_from_outputs(outputs, enc.types, enc.parents, loss_weight)
-        n += 1
+def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
+    """Dev loss and dev F, both read from one batched forward pass."""
+    losses = [0.0] * len(dev_encoded)
+    graphs: list[SceneGraph | None] = [None] * len(dev_encoded)
+    seqs = [enc.seq for enc in dev_encoded]
+    for i, outputs in forward_batches(params, model_cfg, seqs, batch_size):
+        enc = dev_encoded[i]
+        losses[i] = loss_from_outputs(outputs, enc.types, enc.parents, loss_weight)
         if enc.example.graph is not None:
-            tagged = predict(params, model_cfg, tokenizer, enc.example.description)
-            preds.append(decode_tags_to_graph(tagged).graph)
-            refs.append(enc.example.graph)
-            descriptions.append(enc.example.description)
+            words = canonical_words(enc.example.description)
+            tagged = read_tags(outputs, words, enc.seq.word_heads)
+            graphs[i] = decode_tags_to_graph(tagged).graph
+    scored = [enc.example for enc in dev_encoded if enc.example.graph is not None]
     dev_f = None
-    if refs:
+    if scored:
         aggregate, _ = evaluate_corpus(
-            preds, refs, descriptions, EMPTY_LEXICON, limited=False,
-            region_ids=list(range(len(refs))),
+            [g for g in graphs if g is not None],
+            [ex.graph for ex in scored],
+            [ex.description for ex in scored],
+            EMPTY_LEXICON, limited=False, region_ids=list(range(len(scored))),
         )
         dev_f = aggregate["mean_f"]
-    return (dev_loss / n if n else 0.0), dev_f
+    return (sum(losses) / len(losses) if losses else 0.0), dev_f
+
+
+def _all_finite(arrays) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
 
 
 def train(
@@ -298,24 +300,24 @@ def train(
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
             batch = [train_enc[i] for i in order[start : start + train_cfg.batch_size]]
-            grads_sum: Params | None = None
-            batch_loss = 0.0
-            for enc in batch:
-                loss, grads = loss_and_grads(
-                    params, model_cfg, enc.seq, enc.types, enc.parents, loss_weight
+            loss, grads = loss_and_grads(
+                params, model_cfg, [enc.seq for enc in batch], [enc.types for enc in batch],
+                [enc.parents for enc in batch], loss_weight,
+            )
+            if not (math.isfinite(loss) and _all_finite(grads.values())):
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch}, step {state.step + 1}: "
+                    "non-finite loss or gradient"
                 )
-                batch_loss += loss
-                if grads_sum is None:
-                    grads_sum = grads
-                else:
-                    for name in grads_sum:
-                        grads_sum[name] += grads[name]
-            scale = 1.0 / len(batch)
-            for name in grads_sum:
-                grads_sum[name] *= scale
-            adam_step(params, grads_sum, state, train_cfg)
-            epoch_loss += batch_loss
-        dev_loss, dev_f = _dev_metrics(params, model_cfg, tokenizer, dev_enc, loss_weight)
+            adam_step(params, grads, state, train_cfg)
+            epoch_loss += loss * len(batch)
+        dev_loss, dev_f = _dev_metrics(
+            params, model_cfg, dev_enc, loss_weight, train_cfg.batch_size
+        )
+        if not (math.isfinite(dev_loss) and _all_finite(params.values())):
+            raise TrainingDivergedError(
+                f"training diverged at epoch {epoch}: non-finite parameters or dev loss"
+            )
         record = {
             "epoch": epoch,
             "step": state.step,
@@ -326,7 +328,7 @@ def train(
         }
         log.append(record)
         if log_fn is not None:
-            log_fn(json.dumps(record, sort_keys=True))
+            log_fn(json.dumps(record, sort_keys=True, allow_nan=False))
         if dev_f is not None and dev_f > best_f:
             best_f = dev_f
             best_params = _clone_params(params)

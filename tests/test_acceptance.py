@@ -42,17 +42,25 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 
 def test_a1_gradient_correctness():
-    """A1: analytic gradients match central finite differences everywhere."""
+    """A1: analytic gradients match central finite differences everywhere,
+    on a right-padded batch of two sequences of different lengths."""
     start = time.monotonic()
     cfg = ModelConfig(vocab_size=12, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                       max_len=8, d_qk=16)
     params = init_params(cfg, seed=7, dtype=np.float64)
-    t = 6
-    seq = TokenSequence((0, 4, 5, 6, 7, 8, 9), tuple(range(1, t + 1)))
-    types = np.array([0, 1, 2, 3, 4, 5])
-    parents = np.array([0, 1, 2, 4, 4, 0])
+    seqs = [
+        TokenSequence((0, 4, 5, 6, 7, 8, 9), tuple(range(1, 7))),
+        TokenSequence((0, 10, 11, 4), (1, 2, 3)),
+    ]
+    types = [np.array([0, 1, 2, 3, 4, 5]), np.array([4, 0, 1])]
+    parents = [np.array([0, 1, 2, 4, 4, 0]), np.array([0, 0, 1])]
     lam = 0.9
-    _, grads = loss_and_grads(params, cfg, seq, types, parents, lam)
+    _, grads = loss_and_grads(params, cfg, seqs, types, parents, lam)
+
+    def batch_loss():
+        outs = forward(params, cfg, seqs)
+        return np.mean([loss_from_outputs(o, ty, pa, lam)
+                        for o, ty, pa in zip(outs, types, parents)])
 
     step = 1e-5
     worst = 0.0
@@ -60,12 +68,13 @@ def test_a1_gradient_correctness():
     for name, p in params.items():
         flat = p.reshape(-1)
         gflat = grads[name].reshape(-1)
+        assert gflat.dtype == np.float64
         for i in range(len(flat)):
             orig = flat[i]
             flat[i] = orig + step
-            up = loss_from_outputs(forward(params, cfg, seq), types, parents, lam)
+            up = batch_loss()
             flat[i] = orig - step
-            down = loss_from_outputs(forward(params, cfg, seq), types, parents, lam)
+            down = batch_loss()
             flat[i] = orig
             fd = (up - down) / (2.0 * step)
             diff = abs(fd - gflat[i])

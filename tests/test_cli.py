@@ -189,3 +189,46 @@ def test_parse_eval_pipe_equals_files(trained, tmp_path):
     assert run(["eval", "--pred", pred_file, "--ref", dev_file,
                 "--out", report_file]) == 0
     assert eval_proc.stdout == open(report_file).read()
+
+
+def test_parse_keeps_input_order_across_length_sorted_batches(trained, tmp_path):
+    # more lines than the checkpoint's batch size (16), longest first, so
+    # sorting by length puts them in a different order and batching
+    tmp, regions_file, ckpt_base = trained
+    with open(regions_file) as f:
+        regions, _ = ingest(f.read())
+    texts = sorted({r.description for r in regions[:60]}, key=len, reverse=True)[:40]
+    texts_file = tmp_path / "texts.txt"
+    texts_file.write_text("".join(t + "\n" for t in texts))
+    out = str(tmp_path / "pred.jsonl")
+    assert run(["parse", "--ckpt", ckpt_base, "--input", str(texts_file), "--out", out]) == 0
+    records = [json.loads(line) for line in open(out)]
+    assert [r["phrase"] for r in records] == texts
+    assert [r["region_id"] for r in records] == list(range(len(texts)))
+    for i in (0, 17, len(texts) - 1):  # one text parsed alone gives the same graph
+        one_in = tmp_path / f"one{i}.txt"
+        one_in.write_text(texts[i] + "\n")
+        one_out = str(tmp_path / f"one{i}.jsonl")
+        assert run(["parse", "--ckpt", ckpt_base, "--input", str(one_in), "--out", one_out]) == 0
+        [alone] = [json.loads(line) for line in open(one_out)]
+        for key in ("objects", "attributes", "relationships"):
+            assert alone[key] == records[i][key]
+
+
+def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
+    regions_file = str(tmp_path / "regions.jsonl")
+    conll_file = str(tmp_path / "targets.conll")
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"learning_rate": 1e9, "epochs": 2, "batch_size": 8}))
+    assert run(["gen", "--n", "40", "--seed", "3", "--out", regions_file]) == 0
+    assert run(["align", "--regions", regions_file, "--out", conll_file]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code = run(["train", "--conll", conll_file, "--regions", regions_file,
+                "--train-config", str(train_cfg), "--out", str(out_dir / "ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "diverged" in captured.err
+    assert "NaN" not in captured.out
+    assert not [p for p in out_dir.iterdir() if p.suffix in (".json", ".bin")]

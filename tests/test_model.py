@@ -15,7 +15,7 @@ from sgforge.model import (
     softmax,
     target_arrays,
 )
-from sgforge.tags import NodeType, tagged
+from sgforge.tags import NodeType, TaggedSentence, tagged
 from sgforge.tokenizer import TokenSequence, Tokenizer
 
 T = NodeType
@@ -39,14 +39,14 @@ def test_config_validates():
 
 def test_forward_shapes():
     params = init_params(SMALL, seed=0)
-    out = forward(params, SMALL, small_seq(6))
+    [out] = forward(params, SMALL, [small_seq(6)])
     assert out.class_logits.shape == (6, 6)
     assert out.parent_logits.shape == (6, 7)
 
 
 def test_forward_single_token():
     params = init_params(SMALL, seed=0)
-    out = forward(params, SMALL, small_seq(1))
+    [out] = forward(params, SMALL, [small_seq(1)])
     assert out.parent_logits.shape == (1, 2)
     probs = softmax(out.parent_logits)
     assert probs.sum(axis=-1) == pytest.approx(1.0, abs=1e-6)
@@ -55,13 +55,13 @@ def test_forward_single_token():
 def test_forward_too_long():
     params = init_params(SMALL, seed=0)
     with pytest.raises(SequenceTooLongError):
-        forward(params, SMALL, small_seq(SMALL.max_len + 1))
+        forward(params, SMALL, [small_seq(SMALL.max_len + 1)])
 
 
 def test_zero_head_weights_give_uniform_parents():
     params = init_params(SMALL, seed=0)
     params["head.w_q"][:] = 0.0
-    out = forward(params, SMALL, small_seq(4))
+    [out] = forward(params, SMALL, [small_seq(4)])
     probs = softmax(out.parent_logits)
     assert np.allclose(probs, 1.0 / 5)
 
@@ -74,7 +74,7 @@ def test_parent_softmax_rows_sum_to_one():
         params = init_params(cfg, seed=trial)
         t = int(rng.integers(1, 6))
         ids = (0,) + tuple(int(x) for x in rng.integers(4, 8, size=t))
-        out = forward(params, cfg, TokenSequence(ids, tuple(range(1, t + 1))))
+        [out] = forward(params, cfg, [TokenSequence(ids, tuple(range(1, t + 1)))])
         sums = softmax(out.parent_logits).sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) < 1e-6)
 
@@ -85,8 +85,7 @@ def test_backbone_is_causal():
     params = init_params(SMALL, seed=1)
     base = small_seq(5)
     changed = TokenSequence(base.ids[:4] + (11,) + base.ids[5:], base.word_heads)
-    out_a = forward(params, SMALL, base)
-    out_b = forward(params, SMALL, changed)
+    out_a, out_b = forward(params, SMALL, [base, changed])
     # positions before the change (rows 0..2 for tokens 1..3) are identical
     assert np.array_equal(out_a.class_logits[:3], out_b.class_logits[:3])
     assert not np.array_equal(out_a.class_logits[3], out_b.class_logits[3])
@@ -133,16 +132,24 @@ def test_parent_grad_zero_at_none_positions():
 
 def test_loss_length_mismatch():
     params = init_params(SMALL, seed=0)
-    out = forward(params, SMALL, small_seq(3))
+    [out] = forward(params, SMALL, [small_seq(3)])
     with pytest.raises(LengthMismatchError):
         loss_from_outputs(out, np.zeros(2, dtype=int), np.zeros(2, dtype=int), 1.0)
 
 
-def finite_difference_check(cfg, seq, types, parents, lam, step=1e-5, rel_tol=1e-4,
+def batch_loss(params, cfg, seqs, types, parents, lam):
+    """Mean per-example loss, the quantity loss_and_grads differentiates."""
+    outs = forward(params, cfg, seqs)
+    return np.mean([loss_from_outputs(o, ty, pa, lam) for o, ty, pa in zip(outs, types, parents)])
+
+
+def finite_difference_check(cfg, seqs, types, parents, lam, step=1e-5, rel_tol=1e-4,
                             sample=None, seed=7):
-    """Central finite differences vs analytic gradients at float64."""
+    """Central finite differences vs analytic gradients at float64, on one
+    right-padded batch."""
     params = init_params(cfg, seed=seed, dtype=np.float64)
-    _, grads = loss_and_grads(params, cfg, seq, types, parents, lam)
+    _, grads = loss_and_grads(params, cfg, seqs, types, parents, lam)
+    assert all(g.dtype == np.float64 for g in grads.values())
     rng = np.random.default_rng(0)
     worst = 0.0
     for name, p in params.items():
@@ -154,9 +161,9 @@ def finite_difference_check(cfg, seq, types, parents, lam, step=1e-5, rel_tol=1e
         for i in idxs:
             orig = flat[i]
             flat[i] = orig + step
-            up = loss_from_outputs(forward(params, cfg, seq), types, parents, lam)
+            up = batch_loss(params, cfg, seqs, types, parents, lam)
             flat[i] = orig - step
-            down = loss_from_outputs(forward(params, cfg, seq), types, parents, lam)
+            down = batch_loss(params, cfg, seqs, types, parents, lam)
             flat[i] = orig
             fd = (up - down) / (2.0 * step)
             diff = abs(fd - gflat[i])
@@ -170,18 +177,19 @@ def finite_difference_check(cfg, seq, types, parents, lam, step=1e-5, rel_tol=1e
 
 
 def test_gradients_match_finite_differences_sampled():
-    types = np.array([0, 1, 2, 3, 4, 5])
-    parents = np.array([0, 1, 2, 4, 4, 0])
+    types = [np.array([0, 1, 2, 3, 4, 5]), np.array([4, 1, 0])]
+    parents = [np.array([0, 1, 2, 4, 4, 0]), np.array([0, 0, 1])]
     worst = finite_difference_check(
-        SMALL, small_seq(6), types, parents, lam=0.9, sample=6
+        SMALL, [small_seq(6), small_seq(3)], types, parents, lam=0.9, sample=6
     )
     assert worst < 1e-4
 
 
 def test_gradients_with_all_none_targets():
-    types = np.full(4, int(T.NONE))
-    parents = np.zeros(4, dtype=int)
-    finite_difference_check(SMALL, small_seq(4), types, parents, lam=1.0, sample=4)
+    types = [np.full(4, int(T.NONE)), np.full(2, int(T.NONE))]
+    parents = [np.zeros(4, dtype=int), np.zeros(2, dtype=int)]
+    finite_difference_check(SMALL, [small_seq(4), small_seq(2)], types, parents,
+                            lam=1.0, sample=4)
 
 
 def test_target_arrays_word_mode():
@@ -257,7 +265,7 @@ def test_predict_uniform_logits_tie_break():
     params = init_params(cfg, seed=0)
     params["head.w_c"][:] = 0.0
     params["head.w_q"][:] = 0.0
-    sent = predict(params, cfg, tok, "blue bus")
+    [sent] = predict(params, cfg, tok, ["blue bus"], 32)
     assert [(t.node_type, t.parent) for t in sent] == [(T.SUBJ, 0), (T.SUBJ, 0)]
 
 
@@ -266,7 +274,7 @@ def test_predict_empty_text():
     cfg = ModelConfig(vocab_size=tok.vocab_size, d_model=16, n_layers=1, n_heads=2,
                       d_ff=16, max_len=8, d_qk=16)
     params = init_params(cfg, seed=0)
-    assert len(predict(params, cfg, tok, "")) == 0
+    assert predict(params, cfg, tok, [""], 32) == [TaggedSentence(())]
 
 
 def test_predict_forms_are_canonical_words():
@@ -274,17 +282,51 @@ def test_predict_forms_are_canonical_words():
     cfg = ModelConfig(vocab_size=tok.vocab_size, d_model=16, n_layers=1, n_heads=2,
                       d_ff=16, max_len=8, d_qk=16)
     params = init_params(cfg, seed=0)
-    sent = predict(params, cfg, tok, "Blue  BUS")
+    [sent] = predict(params, cfg, tok, ["Blue  BUS"], 32)
     assert [t.form for t in sent] == ["blue", "bus"]
 
 
+def random_batch(rng, lengths):
+    seqs, types, parents = [], [], []
+    for t in lengths:
+        ids = (0,) + tuple(int(x) for x in rng.integers(4, SMALL.vocab_size, size=t))
+        seqs.append(TokenSequence(ids, tuple(range(1, t + 1))))
+        types.append(rng.integers(0, 6, size=t))
+        parents.append(rng.integers(0, t + 1, size=t))
+    return seqs, types, parents
+
+
 def test_batch_independence():
-    # gradients and loss for one example do not depend on batch context;
-    # the trainer averages per-example grads, so equality is structural,
-    # but verify forward determinism across repeated calls
+    # a sequence's outputs and its share of the batch gradient do not depend
+    # on its batch-mates or on how far the batch pads it (float32 tolerance)
     params = init_params(SMALL, seed=2)
-    seq = small_seq(5)
-    a = forward(params, SMALL, seq)
-    b = forward(params, SMALL, seq)
-    assert np.array_equal(a.class_logits, b.class_logits)
-    assert np.array_equal(a.parent_logits, b.parent_logits)
+    seqs, types, parents = random_batch(np.random.default_rng(4), [5, 8, 1, 3])
+    alone = [forward(params, SMALL, [seq])[0] for seq in seqs]
+    together = forward(params, SMALL, seqs)
+    for a, b in zip(alone, together):
+        assert a.class_logits.shape == b.class_logits.shape
+        assert a.parent_logits.shape == b.parent_logits.shape
+        assert np.allclose(a.class_logits, b.class_logits, rtol=1e-5, atol=1e-6)
+        assert np.allclose(a.parent_logits, b.parent_logits, rtol=1e-5, atol=1e-6)
+        assert np.all(np.isfinite(b.parent_logits))
+
+    loss, grads = loss_and_grads(params, SMALL, seqs, types, parents, 0.8)
+    singles = [
+        loss_and_grads(params, SMALL, [s], [ty], [pa], 0.8)
+        for s, ty, pa in zip(seqs, types, parents)
+    ]
+    assert loss == pytest.approx(np.mean([l for l, _ in singles]), rel=1e-5)
+    for name, g in grads.items():
+        mean = sum(single[name] for _, single in singles) / len(seqs)
+        scale = np.abs(mean).max()
+        assert np.abs(g - mean).max() <= 1e-5 * scale + 1e-9, name
+
+
+def test_over_length_sequence_in_batch_raises():
+    params = init_params(SMALL, seed=0)
+    seqs, types, parents = random_batch(np.random.default_rng(6), [3, SMALL.max_len + 1, 2])
+    with pytest.raises(SequenceTooLongError):
+        forward(params, SMALL, seqs)
+    with pytest.raises(SequenceTooLongError):
+        loss_and_grads(params, SMALL, seqs, types, parents, 1.0)
+

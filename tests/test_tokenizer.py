@@ -73,3 +73,18 @@ def test_merges_file_roundtrip():
     back = read_vocab(write_vocab(tok), mode="bpe", merges_text=text)
     assert back.merges == tok.merges
     assert back.encode("bus") == tok.encode("bus")
+
+
+def test_bpe_encode_matches_ranks_built_per_call():
+    # encode uses the rank table built once at construction; it must give the
+    # same pieces as applying the merges afresh
+    corpus = ["blue bus", "red bus on road", "bluebird", "buses and roads"]
+    tok = Tokenizer.from_corpus(corpus, mode="bpe", n_merges=12)
+    ranks = {pair: i for i, pair in enumerate(tok.merges)}
+    for text in corpus + ["unseen rebus", ""]:
+        seq = tok.encode(text)
+        expected_ids = [ROOT_ID]
+        for w in text.split():
+            expected_ids.extend(tok._id(p) for p in apply_bpe(w, ranks))
+        assert list(seq.ids) == expected_ids
+    assert tok.encode("blue bus") == tok.encode("blue bus")

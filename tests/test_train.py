@@ -226,7 +226,7 @@ def test_checkpoint_forward_bit_exact(tmp_path):
     save_checkpoint(ckpt, base)
     loaded = load_checkpoint(base)
     seq = loaded.tokenizer.encode(examples[0].description)
-    a = forward(ckpt.params, ckpt.model_config, seq)
-    b = forward(loaded.params, loaded.model_config, seq)
+    [a] = forward(ckpt.params, ckpt.model_config, [seq])
+    [b] = forward(loaded.params, loaded.model_config, [seq])
     assert np.array_equal(a.class_logits, b.class_logits)
     assert np.array_equal(a.parent_logits, b.parent_logits)
