@@ -236,8 +236,6 @@ def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndar
 def forward(params: Params, cfg: ModelConfig, seqs: list[TokenSequence]) -> list[ModelOutputs]:
     """Class logits C and parent logits P (T rows each) for every sequence,
     run as one right-padded batch."""
-    if not seqs:
-        return []
     ids, lengths = _pad(cfg, seqs)
     out = _forward(params, cfg, ids, lengths)[0]
     return [

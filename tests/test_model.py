@@ -7,6 +7,8 @@ from sgforge.errors import LengthMismatchError, SequenceTooLongError
 from sgforge.model import (
     ModelConfig,
     forward,
+    gelu,
+    gelu_grad,
     init_params,
     loss_and_grads,
     loss_from_outputs,
@@ -89,6 +91,24 @@ def test_backbone_is_causal():
     # positions before the change (rows 0..2 for tokens 1..3) are identical
     assert np.array_equal(out_a.class_logits[:3], out_b.class_logits[:3])
     assert not np.array_equal(out_a.class_logits[3], out_b.class_logits[3])
+
+
+def test_gelu_matches_closed_form_and_keeps_input():
+    # reference: the tanh form written with powers, as in the GELU paper
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    x = np.linspace(-6.0, 6.0, 241)
+    kept = x.copy()
+    t = np.tanh(c * (x + a * x**3))
+    ref = 0.5 * x * (1.0 + t)
+    ref_grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3.0 * a * x**2)
+    assert np.allclose(gelu(x), ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(gelu_grad(x), ref_grad, rtol=1e-12, atol=1e-14)
+    # float32: the powers form itself is off by up to ~1.2e-6 near tanh = -1
+    x32 = x.astype(np.float32)
+    assert gelu(x32).dtype == gelu_grad(x32).dtype == np.float32
+    assert np.allclose(gelu(x32), ref, rtol=1e-5, atol=2e-6)
+    assert np.allclose(gelu_grad(x32), ref_grad, rtol=1e-5, atol=4e-6)
+    assert np.array_equal(x, kept)
 
 
 def test_loss_uniform_class_logits():
