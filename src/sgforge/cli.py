@@ -21,7 +21,7 @@ from .data import (
     split,
     write_regions,
 )
-from .errors import IdMismatchError, SgforgeError
+from .errors import ConfigError, IdMismatchError, SgforgeError
 from .metrics import evaluate_corpus
 from .model import ModelConfig, predict
 from .tags import decode_tags_to_graph, read_conll, write_conll
@@ -152,11 +152,34 @@ def _apply_overrides(defaults: dict, path: str | None) -> dict:
     if path is None:
         return defaults
     overrides = json.loads(_read(path))
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"{path}: expected a JSON object")
     unknown = set(overrides) - set(defaults)
     if unknown:
-        raise SgforgeError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        want = type(defaults[key])
+        if not (type(value) is want or (want is float and type(value) is int)):
+            raise ConfigError(f"{path}: {key} must be {want.__name__}, got {json.dumps(value)}")
     defaults.update(overrides)
     return defaults
+
+
+def _config(cls, kwargs: dict, source: str):
+    """Build a config dataclass; a field value it rejects is a data error."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{source}: {e}") from None
+
+
+def _load_split(path: str) -> SplitSpec:
+    try:
+        return SplitSpec.from_json(_read(path))
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{path}: {e}") from None
 
 
 def _cmd_train(args) -> int:
@@ -172,11 +195,11 @@ def _cmd_train(args) -> int:
     train_kwargs = _apply_overrides(dict(TrainConfig().to_dict()), args.train_config)
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
-    model_cfg = ModelConfig.from_dict(model_kwargs)
-    train_cfg = TrainConfig.from_dict(train_kwargs)
+    model_cfg = _config(ModelConfig, model_kwargs, args.model_config or "model config")
+    train_cfg = _config(TrainConfig, train_kwargs, args.train_config or "train config")
 
     if args.split:
-        spec = SplitSpec.from_json(_read(args.split))
+        spec = _load_split(args.split)
     else:
         image_ids = sorted({r.image_id for r in regions})
         cut = int(round(len(image_ids) * (1.0 - args.dev_frac)))
@@ -220,6 +243,12 @@ def _cmd_parse(args) -> int:
 def _cmd_eval(args) -> int:
     pred_regions = _load_regions(args.pred)
     ref_regions = _load_regions(args.ref)
+    for path, regions in ((args.pred, pred_regions), (args.ref, ref_regions)):
+        seen: set[int] = set()
+        for r in regions:
+            if r.region_id in seen:
+                raise IdMismatchError(f"{path}: duplicate region id {r.region_id}")
+            seen.add(r.region_id)
     pred_by_id = {r.region_id: r for r in pred_regions}
     ref_ids = [r.region_id for r in ref_regions]
     if sorted(pred_by_id) != sorted(ref_ids):

@@ -29,8 +29,9 @@ class SplitSpec:
     eval_image_ids: frozenset[int]
 
     def __post_init__(self):
-        if self.train_image_ids & self.eval_image_ids:
-            raise ValueError("train and eval image id sets overlap")
+        shared = sorted(self.train_image_ids & self.eval_image_ids)
+        if shared:
+            raise ValueError(f"train_image_ids and eval_image_ids share image ids {shared[:5]}")
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":

@@ -43,3 +43,12 @@ class IdMismatchError(SgforgeError):
 
 class TrainingDivergedError(SgforgeError):
     """Training produced a non-finite loss, gradient or parameter."""
+
+
+class ConfigError(SgforgeError):
+    """A model, training or split configuration names a bad field value."""
+
+
+class CheckpointError(SgforgeError):
+    """A checkpoint manifest or payload is malformed; names the file and,
+    where one is at fault, the tensor."""

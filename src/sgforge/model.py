@@ -41,6 +41,13 @@ class ModelConfig:
     tokenizer_mode: str = "word"
 
     def __post_init__(self):
+        for name in ("d_model", "n_heads", "d_ff", "max_len", "d_qk"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
+        if self.vocab_size < 0 or self.n_layers < 0:
+            raise ValueError("vocab_size and n_layers must not be negative")
+        if self.tokenizer_mode not in ("word", "bpe"):
+            raise ValueError(f"tokenizer_mode must be 'word' or 'bpe', got {self.tokenizer_mode!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.n_classes != N_NODE_TYPES:
@@ -74,34 +81,41 @@ class ModelOutputs:
     parent_logits: np.ndarray  # (T, T+1), column 0 is ROOT
 
 
-def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Params:
-    """Normal(0, 0.02) projections and embeddings; layer-norm gain 1, bias 0."""
-    rng = np.random.default_rng(seed)
-
-    def normal(*shape):
-        return rng.normal(0.0, 0.02, size=shape).astype(dtype)
-
-    d, h, f = cfg.d_model, cfg.n_heads, cfg.d_ff
-    p: Params = {
-        "tok_emb": normal(cfg.vocab_size, d),
-        "pos_emb": normal(cfg.max_len + 1, d),
-        "head.w_q": normal(d, cfg.d_qk),
-        "head.w_k": normal(d, cfg.d_qk),
-        "head.w_c": normal(d, cfg.n_classes),
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in initialisation order."""
+    d, f = cfg.d_model, cfg.d_ff
+    shapes = {
+        "tok_emb": (cfg.vocab_size, d),
+        "pos_emb": (cfg.max_len + 1, d),
+        "head.w_q": (d, cfg.d_qk),
+        "head.w_k": (d, cfg.d_qk),
+        "head.w_c": (d, cfg.n_classes),
     }
     for l in range(cfg.n_layers):
-        p[f"layer{l}.attn.w_qkv"] = normal(d, 3 * d)
-        p[f"layer{l}.attn.b_qkv"] = np.zeros(3 * d, dtype=dtype)
-        p[f"layer{l}.attn.w_o"] = normal(d, d)
-        p[f"layer{l}.attn.b_o"] = np.zeros(d, dtype=dtype)
-        p[f"layer{l}.ln1.g"] = np.ones(d, dtype=dtype)
-        p[f"layer{l}.ln1.b"] = np.zeros(d, dtype=dtype)
-        p[f"layer{l}.ffn.w1"] = normal(d, f)
-        p[f"layer{l}.ffn.b1"] = np.zeros(f, dtype=dtype)
-        p[f"layer{l}.ffn.w2"] = normal(f, d)
-        p[f"layer{l}.ffn.b2"] = np.zeros(d, dtype=dtype)
-        p[f"layer{l}.ln2.g"] = np.ones(d, dtype=dtype)
-        p[f"layer{l}.ln2.b"] = np.zeros(d, dtype=dtype)
+        pre = f"layer{l}."
+        shapes.update({
+            pre + "attn.w_qkv": (d, 3 * d), pre + "attn.b_qkv": (3 * d,),
+            pre + "attn.w_o": (d, d), pre + "attn.b_o": (d,),
+            pre + "ln1.g": (d,), pre + "ln1.b": (d,),
+            pre + "ffn.w1": (d, f), pre + "ffn.b1": (f,),
+            pre + "ffn.w2": (f, d), pre + "ffn.b2": (d,),
+            pre + "ln2.g": (d,), pre + "ln2.b": (d,),
+        })
+    return shapes
+
+
+def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Params:
+    """Normal(0, 0.02) projections and embeddings; layer-norm gain 1, biases 0."""
+    rng = np.random.default_rng(seed)
+    p: Params = {}
+    for name, shape in param_shapes(cfg).items():
+        kind = name.rsplit(".", 1)[-1]
+        if kind == "g":
+            p[name] = np.ones(shape, dtype=dtype)
+        elif kind.startswith("b"):
+            p[name] = np.zeros(shape, dtype=dtype)
+        else:
+            p[name] = rng.normal(0.0, 0.02, size=shape).astype(dtype)
     return p
 
 
@@ -163,18 +177,18 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 
 def _layer_norm_backward(dout: np.ndarray, cache, g: np.ndarray):
+    """Backward of `_layer_norm` over (rows, d) arrays."""
     y, inv = cache
-    dg = (dout * y).sum(axis=tuple(range(dout.ndim - 1)))
-    db = dout.sum(axis=tuple(range(dout.ndim - 1)))
+    dg = (dout * y).sum(axis=0)
+    db = dout.sum(axis=0)
     dy = dout * g
     dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
     return dx, dg, db
 
 
 def _affine_grads(x: np.ndarray, dy: np.ndarray):
-    """Gradients of w and b in y = x @ w + b, summed over all leading axes."""
-    dy = dy.reshape(-1, dy.shape[-1])
-    return x.reshape(-1, x.shape[-1]).T @ dy, dy.sum(axis=0)
+    """Gradients of w and b in y = x @ w + b over (rows, width) arrays."""
+    return x.T @ dy, dy.sum(axis=0)
 
 
 def _rows(rows, width: int, fill: int) -> np.ndarray:
@@ -198,14 +212,16 @@ def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndar
     """Backbone and head on a right-padded (B, L) batch; with `caches`, each
     layer appends what its backward pass needs.
 
-    The backbone is causal and padding is on the right, so no real position
-    attends to a padded one; only the bidirectional parent logits need a
-    mask, -inf on padded columns.
+    The residual stream is one (B*L, d) array, so every dense projection is a
+    single 2D matrix product; only attention and the parent logits reshape to
+    a per-example axis. The backbone is causal and padding is on the right, so
+    no real position attends to a padded one; only the bidirectional parent
+    logits need a mask, -inf on padded columns.
     """
     B, L = ids.shape
     d, nh = cfg.d_model, cfg.n_heads
     dh = d // nh
-    x = params["tok_emb"][ids] + params["pos_emb"][:L]
+    x = (params["tok_emb"][ids] + params["pos_emb"][:L]).reshape(B * L, d)
     causal = np.tril(np.ones((L, L), dtype=bool))
     for l in range(cfg.n_layers):
         pre = f"layer{l}."
@@ -214,7 +230,7 @@ def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndar
         qh, kh, vh = qkv.reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (B, nh, L, dh)
         scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh)
         probs = softmax(np.where(causal, scores, -np.inf), axis=-1)
-        ctx_cat = (probs @ vh).transpose(0, 2, 1, 3).reshape(B, L, d)
+        ctx_cat = (probs @ vh).transpose(0, 2, 1, 3).reshape(B * L, d)
         r1 = a_in + (ctx_cat @ params[pre + "attn.w_o"] + params[pre + "attn.b_o"])
         x_mid, ln1_cache = _layer_norm(r1, params[pre + "ln1.g"], params[pre + "ln1.b"])
         u = x_mid @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
@@ -223,10 +239,10 @@ def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndar
         if caches is not None:
             caches.append(dict(a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs,
                                ctx_cat=ctx_cat, ln1=ln1_cache, u=u, ln2=ln2_cache))
-    hidden = x  # (B, L, d)
-    class_logits = hidden[:, 1:] @ params["head.w_c"]
-    q_head = hidden[:, 1:] @ params["head.w_q"]
-    k_head = hidden @ params["head.w_k"]
+    hidden = x  # (B*L, d); the head also scores the ROOT rows, then drops them
+    class_logits = (hidden @ params["head.w_c"]).reshape(B, L, -1)[:, 1:]
+    q_head = (hidden @ params["head.w_q"]).reshape(B, L, -1)[:, 1:]
+    k_head = (hidden @ params["head.w_k"]).reshape(B, L, -1)
     parent_logits = q_head @ k_head.swapaxes(1, 2) / math.sqrt(cfg.d_qk)
     padded_col = np.arange(L) >= lengths[:, None, None]
     parent_logits = np.where(padded_col, -np.inf, parent_logits)
@@ -370,23 +386,24 @@ def loss_and_grads(
     d_parent /= B
 
     # Padded rows get exactly zero gradient from the head, and causality keeps
-    # it zero through every layer, so they add nothing to any parameter.
+    # it zero through every layer, so they add nothing to any parameter. The
+    # ROOT rows get none from the class and query projections.
     grads: Params = {}
     d, nh = cfg.d_model, cfg.n_heads
     dh = d // nh
-    h1 = hidden[:, 1:]
-    grads["head.w_c"] = _affine_grads(h1, d_class)[0]
-    d_hidden = np.zeros_like(hidden)
-    d_hidden[:, 1:] = d_class @ params["head.w_c"].T
     s = 1.0 / math.sqrt(cfg.d_qk)
-    dq_head = s * (d_parent @ k_head)
+    dc_head = np.zeros((B, L, d_class.shape[-1]), dtype=d_class.dtype)
+    dc_head[:, 1:] = d_class
+    dq_head = np.zeros((B, L, cfg.d_qk), dtype=d_parent.dtype)
+    dq_head[:, 1:] = s * (d_parent @ k_head)
     dk_head = s * (d_parent.swapaxes(1, 2) @ q_head)
-    grads["head.w_q"] = _affine_grads(h1, dq_head)[0]
-    grads["head.w_k"] = _affine_grads(hidden, dk_head)[0]
-    d_hidden[:, 1:] += dq_head @ params["head.w_q"].T
-    d_hidden += dk_head @ params["head.w_k"].T
+    dc_head, dq_head, dk_head = (a.reshape(B * L, -1) for a in (dc_head, dq_head, dk_head))
+    grads["head.w_c"] = hidden.T @ dc_head
+    grads["head.w_q"] = hidden.T @ dq_head
+    grads["head.w_k"] = hidden.T @ dk_head
+    dx = dc_head @ params["head.w_c"].T + dq_head @ params["head.w_q"].T
+    dx += dk_head @ params["head.w_k"].T
 
-    dx = d_hidden
     for l in reversed(range(cfg.n_layers)):
         pre = f"layer{l}."
         c = caches.pop()  # free each layer's cache once its backward has run
@@ -412,14 +429,14 @@ def loss_and_grads(
         dscores /= math.sqrt(dh)
         dqh = dscores @ c["kh"]
         dkh = dscores.swapaxes(-1, -2) @ c["qh"]
-        dqkv = np.stack([dqh, dkh, dvh]).transpose(1, 3, 0, 2, 4).reshape(B, L, 3 * d)
+        dqkv = np.stack([dqh, dkh, dvh]).transpose(1, 3, 0, 2, 4).reshape(B * L, 3 * d)
         grads[pre + "attn.w_qkv"], grads[pre + "attn.b_qkv"] = _affine_grads(c["a_in"], dqkv)
         dx = dr1 + dqkv @ params[pre + "attn.w_qkv"].T
 
     grads["tok_emb"] = np.zeros_like(params["tok_emb"])
-    np.add.at(grads["tok_emb"], ids, dx)
+    np.add.at(grads["tok_emb"], ids.ravel(), dx)
     grads["pos_emb"] = np.zeros_like(params["pos_emb"])
-    grads["pos_emb"][:L] = dx.sum(axis=0)
+    grads["pos_emb"][:L] = dx.reshape(B, L, d).sum(axis=0)
     return loss, grads
 
 
@@ -429,17 +446,14 @@ def read_tags(
     """Greedy readout: argmax node type per word head, argmax parent over
     word-head positions and ROOT. Ties break toward the lowest index; parents
     are reported as word indices, not subword positions."""
-    candidates = [0] + list(word_heads)
-    pos_to_word = {h: w + 1 for w, h in enumerate(word_heads)}
-    pos_to_word[0] = 0
-    tokens = []
-    for word_i, head in enumerate(word_heads, start=1):
-        row = head - 1
-        node_type = NodeType(int(np.argmax(outputs.class_logits[row])))
-        parent_scores = outputs.parent_logits[row][candidates]
-        parent_pos = candidates[int(np.argmax(parent_scores))]
-        tokens.append(TaggedToken(word_i, words[word_i - 1], node_type, pos_to_word[parent_pos]))
-    return TaggedSentence(tuple(tokens))
+    heads = np.array(word_heads, dtype=np.int64)
+    types = outputs.class_logits[heads - 1].argmax(axis=-1)
+    # candidate column j is ROOT for j = 0, else the head of word j
+    parents = outputs.parent_logits[heads - 1][:, np.concatenate(([0], heads))].argmax(axis=-1)
+    return TaggedSentence(tuple(
+        TaggedToken(i, words[i - 1], NodeType(t), p)
+        for i, (t, p) in enumerate(zip(types.tolist(), parents.tolist()), start=1)
+    ))
 
 
 def predict(

@@ -7,7 +7,7 @@ subword of each source word (identity in word mode).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from .graph import canonical_words
@@ -28,38 +28,56 @@ class TokenSequence:
         return len(self.ids)
 
 
+def _merge_word(pieces: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
+    """Merge every occurrence of `pair` in one word, left to right."""
+    out = []
+    i = 0
+    while i < len(pieces):
+        if i + 1 < len(pieces) and (pieces[i], pieces[i + 1]) == pair:
+            out.append(pieces[i] + pieces[i + 1])
+            i += 2
+        else:
+            out.append(pieces[i])
+            i += 1
+    return tuple(out)
+
+
 def learn_bpe(words: list[str], n_merges: int) -> list[tuple[str, str]]:
     """Learn merge pairs by greedy pair frequency, most frequent first.
 
     Ties break lexicographically for determinism. Merges never cross word
-    boundaries.
+    boundaries. Pair counts are built once; each merge re-counts only the
+    words that contain the merged pair (Sennrich et al. 2016).
     """
     counts = Counter(words)
-    pieces = {w: tuple(w) for w in counts}
+    pieces = [tuple(w) for w in counts]
+    freqs = list(counts.values())
+    pair_counts: Counter = Counter()
+    holders: dict[tuple[str, str], set[int]] = defaultdict(set)  # pair -> word indices
+    for i, ps in enumerate(pieces):
+        for pair in zip(ps, ps[1:]):
+            pair_counts[pair] += freqs[i]
+            holders[pair].add(i)
     merges: list[tuple[str, str]] = []
     for _ in range(n_merges):
-        pair_counts: Counter = Counter()
-        for w, ps in pieces.items():
-            for a, b in zip(ps, ps[1:]):
-                pair_counts[(a, b)] += counts[w]
         if not pair_counts:
             break
-        best = max(pair_counts, key=lambda p: (pair_counts[p], p))
+        top = max(pair_counts.values())
+        best = max(pair for pair, n in pair_counts.items() if n == top)
         merges.append(best)
-        merged = best[0] + best[1]
-        new_pieces = {}
-        for w, ps in pieces.items():
-            out = []
-            i = 0
-            while i < len(ps):
-                if i + 1 < len(ps) and (ps[i], ps[i + 1]) == best:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(ps[i])
-                    i += 1
-            new_pieces[w] = tuple(out)
-        pieces = new_pieces
+        for i in holders.pop(best):  # may name words that no longer hold it
+            old = pieces[i]
+            new = _merge_word(old, best)
+            if new == old:
+                continue
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freqs[i]
+                if not pair_counts[pair]:
+                    del pair_counts[pair]
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freqs[i]
+                holders[pair].add(i)
+            pieces[i] = new
     return merges
 
 

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .align import EMPTY_LEXICON
-from .errors import EmptyDatasetError, ShapeMismatchError, TrainingDivergedError
+from .errors import (
+    CheckpointError,
+    EmptyDatasetError,
+    ShapeMismatchError,
+    TrainingDivergedError,
+)
 from .graph import SceneGraph, canonical_words
 from .metrics import evaluate_corpus
 from .model import (
@@ -25,6 +30,7 @@ from .model import (
     loss_and_grads,
     loss_from_outputs,
     loss_terms,
+    param_shapes,
     read_tags,
     target_arrays,
 )
@@ -46,11 +52,15 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0.0 < self.adam_beta1 < 1.0 or not 0.0 < self.adam_beta2 < 1.0:
-            raise ValueError("Adam betas must lie in (0, 1)")
+            raise ValueError("adam_beta1 and adam_beta2 must lie in (0, 1)")
         if self.learning_rate <= 0.0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError("learning_rate must be positive")
+        if self.batch_size < 1:  # also the inference chunk size
+            raise ValueError("batch_size must be at least 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must not be negative")
         if self.lambda_mode not in ("auto", "fixed"):
-            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
+            raise ValueError(f"lambda_mode must be 'auto' or 'fixed', got {self.lambda_mode!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -78,7 +88,11 @@ class AdamState:
 
 
 def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of params, m and v, in place.
+
+    Each tensor needs two full-size temporaries; the arithmetic runs in the
+    order of the textbook formula, so results match it bit for bit.
+    """
     if set(params) != set(grads):
         raise ShapeMismatchError("parameter and gradient names differ")
     state.step += 1
@@ -93,13 +107,20 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
+        step = (1.0 - b1) * g
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g  # (1 - b2) * g * g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+        v += step
+        np.divide(m, 1.0 - b1**t, out=step)  # m_hat
+        step *= cfg.learning_rate
+        denom = v / (1.0 - b2**t)  # v_hat
+        np.sqrt(denom, out=denom)
+        denom += cfg.adam_epsilon
+        step /= denom
+        p -= step
 
 
 @dataclass(frozen=True)
@@ -151,6 +172,12 @@ class Checkpoint:
     metrics: dict = field(default_factory=dict)
 
 
+_CHECKPOINT_FORMAT = "sgforge-checkpoint"
+_CHECKPOINT_VERSION = 1
+_MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "step",
+                  "metrics", "tensors")
+
+
 def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
     """Write {base}.json manifest and {base}.bin float32 payload."""
     names = sorted(ckpt.params)
@@ -167,8 +194,8 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
         blobs.append(blob)
         offset += len(blob)
     manifest = {
-        "format": "sgforge-checkpoint",
-        "version": 1,
+        "format": _CHECKPOINT_FORMAT,
+        "version": _CHECKPOINT_VERSION,
         "model_config": ckpt.model_config.to_dict(),
         "train_config": ckpt.train_config.to_dict(),
         "tokenizer": {
@@ -187,27 +214,68 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
 
 
 def load_checkpoint(base_path: str) -> Checkpoint:
-    with open(base_path + ".json", encoding="utf-8") as f:
-        manifest = json.load(f)
-    with open(base_path + ".bin", "rb") as f:
-        payload = f.read()
+    """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
+    unless the manifest is well formed and its tensors are exactly those the
+    model config needs, each lying inside the payload."""
+    json_path, bin_path = base_path + ".json", base_path + ".bin"
+
+    def bad(message: str) -> CheckpointError:
+        return CheckpointError(f"{json_path}: {message}")
+
+    try:
+        with open(json_path, encoding="utf-8") as f:
+            manifest = json.load(f)
+        with open(bin_path, "rb") as f:
+            payload = f.read()
+    except (OSError, ValueError) as e:
+        raise CheckpointError(f"cannot read checkpoint {base_path}: {e}") from None
+    if not isinstance(manifest, dict):
+        raise bad("manifest is not a JSON object")
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise bad(f"manifest lacks {missing}")
+    if manifest["format"] != _CHECKPOINT_FORMAT or manifest["version"] != _CHECKPOINT_VERSION:
+        raise bad(f"unsupported format {manifest['format']!r} version {manifest['version']!r}")
+    try:
+        model_config = ModelConfig.from_dict(manifest["model_config"])
+        train_config = TrainConfig.from_dict(manifest["train_config"])
+        tok_info = manifest["tokenizer"]
+        tokenizer = Tokenizer(
+            tok_info["mode"], tuple(tok_info["tokens"]),
+            tuple(tuple(m) for m in tok_info["merges"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise bad(f"bad config or tokenizer: {e!r}") from None
+    if tokenizer.vocab_size != model_config.vocab_size:
+        raise bad(f"tokenizer has {tokenizer.vocab_size} tokens, model_config.vocab_size is "
+                  f"{model_config.vocab_size}")
+    if not isinstance(manifest["tensors"], list):
+        raise bad("tensors is not a list")
+    expected = param_shapes(model_config)
     params: Params = {}
     for spec in manifest["tensors"]:
-        raw = payload[spec["offset"] : spec["offset"] + spec["nbytes"]]
-        arr = np.frombuffer(raw, dtype="<f4").reshape(spec["shape"]).copy()
-        params[spec["name"]] = arr
-    tok_info = manifest["tokenizer"]
-    tokenizer = Tokenizer(
-        tok_info["mode"], tuple(tok_info["tokens"]),
-        tuple(tuple(m) for m in tok_info["merges"]),
-    )
+        try:
+            name, shape, offset, nbytes = (
+                spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"])
+        except (KeyError, TypeError) as e:
+            raise bad(f"bad tensor entry {spec!r}: {e!r}") from None
+        if name not in expected or name in params:
+            raise bad(f"tensor {name!r} is unexpected or repeated")
+        if shape != expected[name]:
+            raise bad(f"tensor {name!r} has shape {list(shape)}, the config needs "
+                      f"{list(expected[name])}")
+        if spec.get("dtype") != "<f4" or nbytes != 4 * math.prod(shape):
+            raise bad(f"tensor {name!r} is not {math.prod(shape)} float32 values")
+        if not (isinstance(offset, int) and 0 <= offset and offset + nbytes <= len(payload)):
+            raise bad(f"tensor {name!r} at offset {offset} runs past the end of {bin_path} "
+                      f"({len(payload)} bytes)")
+        raw = payload[offset : offset + nbytes]
+        params[name] = np.frombuffer(raw, dtype="<f4").reshape(expected[name]).copy()
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise bad(f"tensors {missing} are missing")
     return Checkpoint(
-        ModelConfig.from_dict(manifest["model_config"]),
-        TrainConfig.from_dict(manifest["train_config"]),
-        tokenizer,
-        params,
-        manifest["step"],
-        manifest["metrics"],
+        model_config, train_config, tokenizer, params, manifest["step"], manifest["metrics"],
     )
 
 

@@ -232,3 +232,69 @@ def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
     assert "diverged" in captured.err
     assert "NaN" not in captured.out
     assert not [p for p in out_dir.iterdir() if p.suffix in (".json", ".bin")]
+
+
+@pytest.mark.parametrize("side", ["pred", "ref"])
+def test_eval_duplicate_region_id_is_data_error(tmp_path, capsys, side):
+    three = str(tmp_path / "three.jsonl")
+    assert run(["gen", "--n", "3", "--seed", "1", "--out", three]) == 0
+    lines = open(three).read().splitlines()
+    four = tmp_path / "four.jsonl"
+    four.write_text("\n".join(lines + lines[1:2]) + "\n")  # region id 1 twice
+    files = {"pred": three, "ref": three, side: str(four)}
+    capsys.readouterr()
+    assert run(["eval", "--pred", files["pred"], "--ref", files["ref"]]) == 2
+    captured = capsys.readouterr()
+    assert "duplicate region id 1" in captured.err and str(four) in captured.err
+    assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def aligned(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("aligned")
+    regions_file, conll_file = str(tmp / "regions.jsonl"), str(tmp / "targets.conll")
+    assert run(["gen", "--n", "30", "--seed", "5", "--out", regions_file]) == 0
+    assert run(["align", "--regions", regions_file, "--out", conll_file]) == 0
+    return regions_file, conll_file
+
+
+@pytest.mark.parametrize("flag, config, field", [
+    ("--train-config", {"batch_size": 0}, "batch_size"),
+    ("--train-config", {"learning_rate": -1}, "learning_rate"),
+    ("--train-config", {"epochs": -1}, "epochs"),
+    ("--train-config", {"epochs": 1.5}, "epochs"),
+    ("--model-config", {"d_model": "wide"}, "d_model"),
+    ("--model-config", {"n_heads": 0}, "n_heads"),
+    ("--model-config", {"tokenizer_mode": "char"}, "tokenizer_mode"),
+    ("--split", {"train_image_ids": [0, 1, 2], "eval_image_ids": [2, 3]}, "eval_image_ids"),
+    ("--split", {"train_image_ids": [0, 1]}, "eval_image_ids"),
+])
+def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config, field):
+    regions_file, conll_file = aligned
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    code = run(["train", "--conll", conll_file, "--regions", regions_file, flag, str(cfg),
+                "--out", str(out_dir / "ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert field in captured.err and str(cfg) in captured.err
+    assert "Traceback" not in captured.err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_parse_truncated_checkpoint_is_data_error(trained, tmp_path):
+    _, regions_file, ckpt_base = trained
+    base = str(tmp_path / "ckpt")
+    with open(ckpt_base + ".json", "rb") as f:
+        (tmp_path / "ckpt.json").write_bytes(f.read())
+    with open(ckpt_base + ".bin", "rb") as f:
+        (tmp_path / "ckpt.bin").write_bytes(f.read()[:1000])
+    proc = sgforge_cmd("parse", "--ckpt", base, "--regions", regions_file,
+                       "--out", str(tmp_path / "pred.jsonl"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "ckpt.bin" in proc.stderr and "tensor" in proc.stderr
+    assert not (tmp_path / "pred.jsonl").exists()

@@ -17,7 +17,7 @@ from sgforge.model import (
     softmax,
     target_arrays,
 )
-from sgforge.tags import NodeType, TaggedSentence, tagged
+from sgforge.tags import NodeType, TaggedSentence, TaggedToken, tagged
 from sgforge.tokenizer import TokenSequence, Tokenizer
 
 T = NodeType
@@ -275,6 +275,35 @@ def test_read_tags_bpe_restricts_parents_to_word_heads():
     sent = read_tags(ModelOutputs(cls, par), ["big", "cat"], (2, 3))
     assert len(sent) == 2
     assert sent.tokens[1].parent == 1  # position 2 is word 1
+
+
+def read_tags_per_word(outputs, words, word_heads):
+    """Reference readout: one argmax pair per word."""
+    candidates = [0] + list(word_heads)
+    pos_to_word = {h: w + 1 for w, h in enumerate(word_heads)}
+    pos_to_word[0] = 0
+    tokens = []
+    for word_i, head in enumerate(word_heads, start=1):
+        row = head - 1
+        node_type = NodeType(int(np.argmax(outputs.class_logits[row])))
+        parent_pos = candidates[int(np.argmax(outputs.parent_logits[row][candidates]))]
+        tokens.append(TaggedToken(word_i, words[word_i - 1], node_type, pos_to_word[parent_pos]))
+    return TaggedSentence(tuple(tokens))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_read_tags_equals_per_word_argmax(seed):
+    # small integer logits tie often, so the lowest-index tie-break is exercised
+    from sgforge.model import ModelOutputs, read_tags
+
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(0, 9))
+    cuts = np.flatnonzero(rng.random(t) < 0.6) + 1  # word-final positions
+    word_heads = tuple(int(h) for h in cuts) if t == 0 or cuts[-1] == t else (*map(int, cuts), t)
+    outputs = ModelOutputs(rng.integers(0, 3, size=(t, 6)).astype(np.float32),
+                           rng.integers(0, 3, size=(t, t + 1)).astype(np.float32))
+    words = [f"w{i}" for i in range(len(word_heads))]
+    assert read_tags(outputs, words, word_heads) == read_tags_per_word(outputs, words, word_heads)
 
 
 def test_predict_uniform_logits_tie_break():

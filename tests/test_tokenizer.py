@@ -1,3 +1,10 @@
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgforge.data import SyntheticGrammar, generate_synthetic
+from sgforge.graph import canonical_words
 from sgforge.tokenizer import (
     ROOT_ID,
     UNK_ID,
@@ -88,3 +95,63 @@ def test_bpe_encode_matches_ranks_built_per_call():
             expected_ids.extend(tok._id(p) for p in apply_bpe(w, ranks))
         assert list(seq.ids) == expected_ids
     assert tok.encode("blue bus") == tok.encode("blue bus")
+
+
+def learn_bpe_full_recount(words, n_merges):
+    """Reference learner: re-counts every pair of every word for each merge."""
+    counts = Counter(words)
+    pieces = {w: tuple(w) for w in counts}
+    merges = []
+    for _ in range(n_merges):
+        pair_counts = Counter()
+        for w, ps in pieces.items():
+            for a, b in zip(ps, ps[1:]):
+                pair_counts[(a, b)] += counts[w]
+        if not pair_counts:
+            break
+        best = max(pair_counts, key=lambda p: (pair_counts[p], p))
+        merges.append(best)
+        merged = best[0] + best[1]
+        new_pieces = {}
+        for w, ps in pieces.items():
+            out = []
+            i = 0
+            while i < len(ps):
+                if i + 1 < len(ps) and (ps[i], ps[i + 1]) == best:
+                    out.append(merged)
+                    i += 2
+                else:
+                    out.append(ps[i])
+                    i += 1
+            new_pieces[w] = tuple(out)
+        pieces = new_pieces
+    return merges
+
+
+def test_learn_bpe_overlapping_pairs_merge_left_to_right():
+    # "aaa" holds (a, a) twice but merges it once, leaving (aa, a)
+    assert learn_bpe(["aaa"], 5) == learn_bpe_full_recount(["aaa"], 5) == [
+        ("a", "a"), ("aa", "a")]
+    assert learn_bpe(["aaaa", "ab"], 5) == learn_bpe_full_recount(["aaaa", "ab"], 5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.text(alphabet="abc", min_size=1, max_size=9), min_size=0, max_size=25),
+    st.integers(min_value=0, max_value=40),
+)
+def test_learn_bpe_equals_full_recount_on_small_alphabets(words, n_merges):
+    # two or three letters give overlapping runs and many count ties
+    assert learn_bpe(words, n_merges) == learn_bpe_full_recount(words, n_merges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text(alphabet="ab", min_size=1, max_size=12), min_size=1, max_size=15))
+def test_learn_bpe_equals_full_recount_until_exhausted(words):
+    assert learn_bpe(words, 1000) == learn_bpe_full_recount(words, 1000)
+
+
+def test_learn_bpe_equals_full_recount_on_generated_corpus():
+    regions = generate_synthetic(SyntheticGrammar(), 400, seed=11)
+    words = [w for r in regions for w in canonical_words(r.description)]
+    assert learn_bpe(words, 200) == learn_bpe_full_recount(words, 200)

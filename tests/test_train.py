@@ -1,13 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sgforge.align import align
 from sgforge.data import SyntheticGrammar, generate_synthetic
-from sgforge.errors import EmptyDatasetError, ShapeMismatchError
-from sgforge.model import ModelConfig, forward, init_params
+from sgforge.errors import CheckpointError, EmptyDatasetError, ShapeMismatchError
+from sgforge.model import ModelConfig, forward, init_params, param_shapes
 from sgforge.tags import NodeType, tagged
 from sgforge.tokenizer import TokenSequence, Tokenizer
 from sgforge.train import (
@@ -76,6 +77,46 @@ def test_adam_many_steps_match_reference():
     assert params["w"][0] == pytest.approx(adam_reference(gs, lr=0.01), abs=1e-12)
 
 
+def adam_formula(params, grads_seq, cfg):
+    """Adam written as the textbook formula, allocating freely: the reference
+    that the in-place adam_step must match bit for bit."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    params = {k: p.copy() for k, p in params.items()}
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    for t, grads in enumerate(grads_seq, start=1):
+        for k, g in grads.items():
+            m[k] = m[k] * b1 + (1.0 - b1) * g
+            v[k] = v[k] * b2 + (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v[k] / (1.0 - b2**t)
+            params[k] = params[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    return params, m, v
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_step_bit_identical_to_formula(dtype):
+    rng = np.random.default_rng(3)
+    params = {"w": rng.normal(size=(4, 5)).astype(dtype), "b": rng.normal(size=5).astype(dtype)}
+    grads_seq = []
+    for step in range(4):
+        grads = {k: (rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2)).astype(dtype)
+                 for k, p in params.items()}
+        grads["w"][0] = 0.0  # a row that never sees a gradient
+        if step == 2:
+            grads["b"][:] = 0.0  # a whole zero gradient after real ones
+        grads_seq.append(grads)
+    cfg = TrainConfig(learning_rate=3e-3)
+    expected, m, v = adam_formula(params, grads_seq, cfg)
+    state = AdamState()
+    for grads in grads_seq:
+        adam_step(params, grads, state, cfg)
+    for k in params:
+        assert params[k].dtype == dtype
+        assert np.array_equal(params[k], expected[k])
+        assert np.array_equal(state.m[k], m[k]) and np.array_equal(state.v[k], v[k])
+
+
 def test_adam_shape_mismatch():
     params = {"w": np.zeros(3)}
     with pytest.raises(ShapeMismatchError):
@@ -91,6 +132,11 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(lambda_mode="sometimes")
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-1)
+    assert TrainConfig(epochs=0).epochs == 0
 
 
 def zeroed_head_params(cfg, seed=0):
@@ -230,3 +276,67 @@ def test_checkpoint_forward_bit_exact(tmp_path):
     [b] = forward(loaded.params, loaded.model_config, [seq])
     assert np.array_equal(a.class_logits, b.class_logits)
     assert np.array_equal(a.parent_logits, b.parent_logits)
+
+
+def test_param_shapes_match_init_params():
+    cfg = replace(DESK_SMALL, vocab_size=9, n_layers=2)
+    params = init_params(cfg, seed=1)
+    assert {k: p.shape for k, p in params.items()} == param_shapes(cfg)
+
+
+@pytest.fixture
+def saved_checkpoint(tmp_path):
+    result = train(synthetic_examples(6), [], DESK_SMALL, TrainConfig(epochs=0, seed=2))
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(result.final, base)
+    return base
+
+
+def _edit_manifest(base, edit):
+    with open(base + ".json") as f:
+        manifest = json.load(f)
+    edit(manifest)
+    with open(base + ".json", "w") as f:
+        json.dump(manifest, f)
+
+
+def _tensor(manifest, name):
+    return next(t for t in manifest["tensors"] if t["name"] == name)
+
+
+def _grow_pos_emb(m):
+    spec = _tensor(m, "pos_emb")
+    spec["shape"][0] += 1
+    spec["nbytes"] += 4 * spec["shape"][1]
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: m.update(format="other"), "format"),
+    (lambda m: m.update(version=2), "version"),
+    (lambda m: m.pop("tensors"), "tensors"),
+    (lambda m: m.pop("tokenizer"), "tokenizer"),
+    (lambda m: m["train_config"].update(batch_size=0), "batch_size"),
+    (lambda m: _tensor(m, "head.w_c").update(nbytes=8), "head.w_c"),
+    (lambda m: _tensor(m, "head.w_q").update(offset=10**9), "head.w_q"),
+    (_grow_pos_emb, "pos_emb"),
+    (lambda m: m["tensors"].remove(_tensor(m, "layer0.ln2.b")), "layer0.ln2.b"),
+    (lambda m: m["tensors"].append(dict(_tensor(m, "head.w_k"), name="head.w_z")), "head.w_z"),
+    (lambda m: m["model_config"].update(vocab_size=m["model_config"]["vocab_size"] + 1),
+     "vocab_size"),
+])
+def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
+    _edit_manifest(saved_checkpoint, edit)
+    with pytest.raises(CheckpointError, match=needle) as info:
+        load_checkpoint(saved_checkpoint)
+    assert saved_checkpoint in str(info.value)
+
+
+def test_load_checkpoint_rejects_truncated_payload(saved_checkpoint):
+    with open(saved_checkpoint + ".bin", "rb") as f:
+        payload = f.read()
+    with open(saved_checkpoint + ".bin", "wb") as f:
+        f.write(payload[:-1000])
+    with open(saved_checkpoint + ".json") as f:
+        last = max(json.load(f)["tensors"], key=lambda t: t["offset"])["name"]
+    with pytest.raises(CheckpointError, match=f"'{last}'.*ckpt.bin"):
+        load_checkpoint(saved_checkpoint)
