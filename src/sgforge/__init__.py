@@ -6,37 +6,3 @@ sequences into graphs, and score parsed graphs with a tuple-matching F-score.
 """
 
 __version__ = "0.1.0"
-
-from .align import AlignmentResult, Lexicon, align, useful_word_count
-from .data import Region, SplitSpec, SyntheticGrammar, generate_synthetic, ingest, split
-from .graph import (
-    ObjectInstance,
-    SceneGraph,
-    TupleSet,
-    build_graph,
-    canonicalize_label,
-    extract_tuples,
-)
-from .metrics import Scores, evaluate_corpus, spice_f1, tuple_match
-from .model import ModelConfig, ModelOutputs, forward, init_params, predict, read_tags
-from .tags import (
-    DecodeReport,
-    NodeType,
-    TaggedSentence,
-    TaggedToken,
-    arc_legal,
-    decode_tags_to_graph,
-    read_conll,
-    write_conll,
-)
-from .tokenizer import Tokenizer, TokenSequence
-from .train import (
-    Checkpoint,
-    Example,
-    TrainConfig,
-    adam_step,
-    calibrate_lambda,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)

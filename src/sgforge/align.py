@@ -38,7 +38,14 @@ class Lexicon:
 
     @classmethod
     def from_json(cls, text: str) -> "Lexicon":
-        return cls.from_pairs(json.loads(text))
+        mapping = json.loads(text)
+        if not (isinstance(mapping, dict) and all(
+            isinstance(syns, list) and all(isinstance(s, str) for s in syns)
+            for syns in mapping.values()
+        )):
+            raise TypeError("a lexicon must be a JSON object mapping each label to a list of "
+                            "strings")
+        return cls.from_pairs(mapping)
 
     def synonyms(self, label: str) -> frozenset[str]:
         return self._table.get(label, frozenset()) | {label}

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .align import EMPTY_LEXICON, Lexicon, align
@@ -22,9 +23,10 @@ from .data import (
     write_regions,
 )
 from .errors import ConfigError, IdMismatchError, SgforgeError
+from .graph import canonical_words
 from .metrics import evaluate_corpus
 from .model import ModelConfig, predict
-from .tags import decode_tags_to_graph, read_conll, write_conll
+from .tags import NodeType, decode_tags_to_graph, read_conll, tagged, write_conll
 from .train import Example, TrainConfig, load_checkpoint, save_checkpoint, train
 
 
@@ -40,10 +42,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as f:
-        return f.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise SgforgeError(f"{path}: not UTF-8 text: {e}") from None
 
 
 def _write(path: str, text: str) -> None:
@@ -54,10 +59,18 @@ def _write(path: str, text: str) -> None:
             f.write(text)
 
 
+def _load(path: str, parse):
+    """parse(text of the file); a value it rejects is a data error naming the file."""
+    try:
+        return parse(_read(path))
+    except KeyError as e:
+        raise ConfigError(f"{path}: missing field {e}") from None
+    except (TypeError, ValueError, RecursionError) as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _load_lexicon(path: str | None) -> Lexicon:
-    if path is None:
-        return EMPTY_LEXICON
-    return Lexicon.from_json(_read(path))
+    return EMPTY_LEXICON if path is None else _load(path, Lexicon.from_json)
 
 
 def _load_regions(path: str) -> list[Region]:
@@ -117,9 +130,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    grammar = SyntheticGrammar() if args.grammar is None else SyntheticGrammar.from_json(
-        _read(args.grammar)
-    )
+    grammar = (SyntheticGrammar() if args.grammar is None
+               else _load(args.grammar, SyntheticGrammar.from_json))
     regions = generate_synthetic(grammar, args.n, seed=args.seed)
     _write(args.out, write_regions(regions))
     return 0
@@ -151,7 +163,7 @@ def _cmd_align(args) -> int:
 def _apply_overrides(defaults: dict, path: str | None) -> dict:
     if path is None:
         return defaults
-    overrides = json.loads(_read(path))
+    overrides = _load(path, json.loads)
     if not isinstance(overrides, dict):
         raise ConfigError(f"{path}: expected a JSON object")
     unknown = set(overrides) - set(defaults)
@@ -173,33 +185,27 @@ def _config(cls, kwargs: dict, source: str):
         raise ConfigError(f"{source}: {e}") from None
 
 
-def _load_split(path: str) -> SplitSpec:
-    try:
-        return SplitSpec.from_json(_read(path))
-    except KeyError as e:
-        raise ConfigError(f"{path}: missing field {e}") from None
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path}: {e}") from None
-
-
 def _cmd_train(args) -> int:
+    if not 0.0 <= args.dev_frac < 1.0:
+        raise _UsageError(f"--dev-frac must lie in [0, 1), got {args.dev_frac}")
     regions = _load_regions(args.regions)
     sentences = read_conll(_read(args.conll))
     if len(sentences) != len(regions):
         raise IdMismatchError(
             f"{len(sentences)} CONLL sentences but {len(regions)} regions"
         )
-    model_kwargs = _apply_overrides(
-        dict(ModelConfig(vocab_size=0).to_dict()), args.model_config
-    )
-    train_kwargs = _apply_overrides(dict(TrainConfig().to_dict()), args.train_config)
+    model_defaults = asdict(ModelConfig(vocab_size=0))
+    del model_defaults["vocab_size"]  # train takes it from the tokenizer
+    model_kwargs = _apply_overrides(model_defaults, args.model_config)
+    train_kwargs = _apply_overrides(asdict(TrainConfig()), args.train_config)
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
-    model_cfg = _config(ModelConfig, model_kwargs, args.model_config or "model config")
+    model_cfg = _config(ModelConfig, {"vocab_size": 0, **model_kwargs},
+                        args.model_config or "model config")
     train_cfg = _config(TrainConfig, train_kwargs, args.train_config or "train config")
 
     if args.split:
-        spec = _load_split(args.split)
+        spec = _load(args.split, SplitSpec.from_json)
     else:
         image_ids = sorted({r.image_id for r in regions})
         cut = int(round(len(image_ids) * (1.0 - args.dev_frac)))
@@ -207,9 +213,9 @@ def _cmd_train(args) -> int:
     examples = [
         Example(r.description, sent, r.graph) for r, sent in zip(regions, sentences)
     ]
-    train_ex = [e for e, r in zip(examples, regions) if r.image_id in spec.train_image_ids]
-    dev_ex = [e for e, r in zip(examples, regions) if r.image_id in spec.eval_image_ids]
-    result = train(train_ex, dev_ex, model_cfg, train_cfg, log_fn=print)
+    train_pos, dev_pos = split(regions, spec)
+    result = train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
+                   model_cfg, train_cfg, log_fn=print)
     save_checkpoint(result.final, args.out)
     save_checkpoint(result.best, args.out + ".best")
     return 0
@@ -219,22 +225,31 @@ def _cmd_parse(args) -> int:
     if (args.input is None) == (args.regions is None):
         raise _UsageError("exactly one of --input or --regions is required")
     ckpt = load_checkpoint(args.ckpt)
+    cfg = ckpt.model_config
     if args.input is not None:
         lines = [ln for ln in _read(args.input).splitlines() if ln.strip()]
         items = [(i, i, ln) for i, ln in enumerate(lines)]
     else:
         regions = _load_regions(args.regions)
         items = [(r.image_id, r.region_id, r.description) for r in regions]
-    tagged = predict(
-        ckpt.params, ckpt.model_config, ckpt.tokenizer, [desc for _, _, desc in items],
+    sents = predict(
+        ckpt.params, cfg, ckpt.tokenizer, [desc for _, _, desc in items],
         ckpt.train_config.batch_size,
     )
+    for k, sent in enumerate(sents):
+        if sent is None:  # too long for the model: reported, written untagged
+            _, region_id, desc = items[k]
+            n = len(ckpt.tokenizer.encode(desc)) - 1
+            print(f"sgforge: {args.input or args.regions}: region {region_id} has {n} tokens, "
+                  f"more than max_len {cfg.max_len}; written with an empty graph",
+                  file=sys.stderr)
+            sents[k] = tagged([(w, NodeType.NONE, 0) for w in canonical_words(desc)])
     if args.format == "conll":
-        _write(args.out, write_conll(tagged))
+        _write(args.out, write_conll(sents))
         return 0
     regions = [
         Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
-        for (image_id, region_id, desc), sent in zip(items, tagged)
+        for (image_id, region_id, desc), sent in zip(items, sents)
     ]
     _write(args.out, write_regions(regions))
     return 0
@@ -302,7 +317,7 @@ def run(argv: list[str]) -> int:
     except _UsageError as e:
         print(f"sgforge: {e}", file=sys.stderr)
         return 1
-    except (SgforgeError, OSError, json.JSONDecodeError) as e:
+    except (SgforgeError, OSError) as e:
         print(f"sgforge: {e}", file=sys.stderr)
         return 2
 

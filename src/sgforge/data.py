@@ -8,6 +8,7 @@ oracle upper bound is exactly 1.0 and any score gap is model error.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 
@@ -39,24 +40,12 @@ class SplitSpec:
         return cls(frozenset(d["train_image_ids"]), frozenset(d["eval_image_ids"]))
 
 
-def region_to_dict(region: Region) -> dict:
-    g = graph_to_dict(region.graph)
-    return {
-        "image_id": region.image_id,
-        "region_id": region.region_id,
-        "phrase": region.description,
-        "objects": g["objects"],
-        "attributes": g["attributes"],
-        "relationships": g["relations"],
-    }
-
-
-def region_to_json(region: Region) -> str:
-    return json.dumps(region_to_dict(region), sort_keys=True, separators=(",", ":"))
-
-
 def region_from_dict(record: dict) -> Region:
+    if not isinstance(record, dict):
+        raise TypeError(f"a region record must be a JSON object, not {type(record).__name__}")
     phrase = record.get("phrase", "")
+    if not isinstance(phrase, str):
+        raise TypeError(f"phrase must be a string, got {phrase!r}")
     if not phrase.strip():
         raise EmptyLabelError("empty region description")
     graph = graph_from_dict(record)
@@ -80,15 +69,16 @@ def ingest(lines: list[str] | str) -> tuple[list[Region], list[tuple[int, str]]]
             errors.append((line_no, "EmptyDescription"))
         except DanglingReferenceError as e:
             errors.append((line_no, f"DanglingReference: {e}"))
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
             errors.append((line_no, f"Malformed: {e}"))
     return regions, errors
 
 
-def split(regions: list[Region], spec: SplitSpec) -> tuple[list[Region], list[Region]]:
-    """Partition by image id; regions in neither set are dropped."""
-    train = [r for r in regions if r.image_id in spec.train_image_ids]
-    eval_ = [r for r in regions if r.image_id in spec.eval_image_ids]
+def split(regions: list[Region], spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Positions of the regions whose image is in the train set, and of those
+    whose image is in the eval set; regions in neither set are left out."""
+    train = [i for i, r in enumerate(regions) if r.image_id in spec.train_image_ids]
+    eval_ = [i for i, r in enumerate(regions) if r.image_id in spec.eval_image_ids]
     return train, eval_
 
 
@@ -116,24 +106,32 @@ class SyntheticGrammar:
     seed: int = 0
 
     def __post_init__(self):
-        words = set()
-        for vocab in (self.object_vocab, self.attribute_vocab, self.relation_vocab):
-            words.update(vocab)
-        if words & STOPWORDS:
-            raise ValueError("grammar vocabularies must not contain stopwords")
-        if len(self.pattern_weights) != 4:
-            raise ValueError("exactly four pattern weights expected")
+        for key, vocab in (("objects", self.object_vocab), ("attributes", self.attribute_vocab),
+                           ("relations", self.relation_vocab)):
+            if not vocab or not all(isinstance(w, str) and w.strip() for w in vocab):
+                raise ValueError(f"{key} must be a non-empty list of non-blank strings")
+            if set(vocab) & STOPWORDS:
+                raise ValueError("grammar vocabularies must not contain stopwords")
+        weights = self.pattern_weights
+        if not (len(weights) == 4 and all(type(w) in (int, float) and w >= 0 for w in weights)
+                and 0 < sum(weights) < math.inf):
+            raise ValueError("pattern_weights must be four non-negative numbers with a finite, "
+                             "positive sum")
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticGrammar":
         d = json.loads(text)
-        return cls(
-            tuple(d.get("objects", DEFAULT_OBJECTS)),
-            tuple(d.get("attributes", DEFAULT_ATTRIBUTES)),
-            tuple(d.get("relations", DEFAULT_RELATIONS)),
-            tuple(d.get("pattern_weights", (1.0, 1.0, 1.0, 1.0))),
-            int(d.get("seed", 0)),
-        )
+        if not isinstance(d, dict):
+            raise TypeError("a grammar must be a JSON object")
+        lists = [d.get(key, default) for key, default in (
+            ("objects", DEFAULT_OBJECTS), ("attributes", DEFAULT_ATTRIBUTES),
+            ("relations", DEFAULT_RELATIONS), ("pattern_weights", (1.0, 1.0, 1.0, 1.0)))]
+        if not all(isinstance(v, (list, tuple)) for v in lists):
+            raise TypeError("objects, attributes, relations and pattern_weights must be lists")
+        seed = d.get("seed", 0)
+        if type(seed) is not int:
+            raise TypeError(f"seed must be an integer, got {seed!r}")
+        return cls(*map(tuple, lists), seed)
 
 
 def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int | None = None) -> list[Region]:
@@ -178,4 +176,13 @@ def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int | None = Non
 
 
 def write_regions(regions: list[Region]) -> str:
-    return "".join(region_to_json(r) + "\n" for r in regions)
+    """Regions JSONL that `ingest` reads back: one compact record per line,
+    keys sorted."""
+    lines = []
+    for r in regions:
+        g = graph_to_dict(r.graph)
+        record = {"image_id": r.image_id, "region_id": r.region_id, "phrase": r.description,
+                  "objects": g["objects"], "attributes": g["attributes"],
+                  "relationships": g["relations"]}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines)

@@ -46,7 +46,8 @@ class TrainingDivergedError(SgforgeError):
 
 
 class ConfigError(SgforgeError):
-    """A model, training or split configuration names a bad field value."""
+    """A config, split, lexicon or grammar file is malformed or names a bad
+    field value."""
 
 
 class CheckpointError(SgforgeError):

@@ -7,8 +7,8 @@ triples. Tuple extraction flattens a graph to label-level tuples for scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import DanglingReferenceError, EmptyLabelError
 
@@ -45,17 +45,9 @@ class SceneGraph:
     attributes: tuple[tuple[int, str], ...] = ()
     relations: tuple[tuple[int, str, int], ...] = ()
 
-    @property
-    def self_relations(self) -> tuple[tuple[int, str, int], ...]:
-        """Relations whose subject and object are the same instance (kept, flagged)."""
-        return tuple(r for r in self.relations if r[0] == r[2])
-
-    def is_empty(self) -> bool:
-        return not (self.objects or self.attributes or self.relations)
-
 
 def build_graph(
-    objects: Iterable[tuple[int, str] | ObjectInstance],
+    objects: Iterable[tuple[int, str]],
     attributes: Iterable[tuple[int, str]] = (),
     relations: Iterable[tuple[int, str, int]] = (),
 ) -> SceneGraph:
@@ -67,11 +59,7 @@ def build_graph(
     """
     objs: list[ObjectInstance] = []
     ids: set[int] = set()
-    for entry in objects:
-        if isinstance(entry, ObjectInstance):
-            oid, label = entry.id, entry.label
-        else:
-            oid, label = entry
+    for oid, label in objects:
         if oid in ids:
             raise ValueError(f"duplicate object id {oid}")
         ids.add(oid)
@@ -147,12 +135,18 @@ def _uint(value) -> int:
     return oid
 
 
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"labels must be strings, got {value!r}")
+    return value
+
+
 def graph_from_dict(record: dict) -> SceneGraph:
     """Inverse of graph_to_dict. Accepts 'relations' or the VG-style 'relationships' key."""
     rels = record.get("relations", record.get("relationships", []))
     return build_graph(
-        [(_uint(o["id"]), o["label"]) for o in record.get("objects", [])],
-        [(_uint(oid), label) for oid, label in record.get("attributes", [])],
-        [(_uint(sid), label, _uint(oid)) for sid, label, oid in rels],
+        [(_uint(o["id"]), _label(o["label"])) for o in record.get("objects", [])],
+        [(_uint(oid), _label(label)) for oid, label in record.get("attributes", [])],
+        [(_uint(sid), _label(label), _uint(oid)) for sid, label, oid in rels],
     )
 

@@ -36,8 +36,6 @@ class ModelConfig:
     d_ff: int = 256
     max_len: int = 32
     d_qk: int = 64  # parent-head query/key width
-    n_classes: int = N_NODE_TYPES
-    loss_weight: float = 1.0  # parent-loss weight; trainer may recalibrate
     tokenizer_mode: str = "word"
 
     def __post_init__(self):
@@ -50,26 +48,6 @@ class ModelConfig:
             raise ValueError(f"tokenizer_mode must be 'word' or 'bpe', got {self.tokenizer_mode!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
-        if self.n_classes != N_NODE_TYPES:
-            raise ValueError(f"n_classes is fixed at {N_NODE_TYPES}")
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "max_len": self.max_len,
-            "d_qk": self.d_qk,
-            "n_classes": self.n_classes,
-            "loss_weight": self.loss_weight,
-            "tokenizer_mode": self.tokenizer_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -77,7 +55,7 @@ class ModelOutputs:
     """Logits of one example; inside the batched path the same blocks carry a
     leading batch axis and right padding."""
 
-    class_logits: np.ndarray  # (T, n_classes)
+    class_logits: np.ndarray  # (T, N_NODE_TYPES)
     parent_logits: np.ndarray  # (T, T+1), column 0 is ROOT
 
 
@@ -89,7 +67,7 @@ def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
         "pos_emb": (cfg.max_len + 1, d),
         "head.w_q": (d, cfg.d_qk),
         "head.w_k": (d, cfg.d_qk),
-        "head.w_c": (d, cfg.n_classes),
+        "head.w_c": (d, N_NODE_TYPES),
     }
     for l in range(cfg.n_layers):
         pre = f"layer{l}."
@@ -458,11 +436,14 @@ def read_tags(
 
 def predict(
     params: Params, cfg: ModelConfig, tokenizer: Tokenizer, texts: list[str], batch_size: int
-) -> list[TaggedSentence]:
+) -> list[TaggedSentence | None]:
     """Tag every text. Texts run in length-sorted batches of batch_size; the
-    result keeps input order."""
+    result keeps input order. A text of more than cfg.max_len tokens is not
+    run and gets None."""
     seqs = [tokenizer.encode(text) for text in texts]
-    tagged: list[TaggedSentence] = [TaggedSentence(())] * len(texts)
-    for i, out in forward_batches(params, cfg, seqs, batch_size):
+    fits = [i for i, seq in enumerate(seqs) if len(seq) <= cfg.max_len + 1]
+    tagged: list[TaggedSentence | None] = [None] * len(texts)
+    for j, out in forward_batches(params, cfg, [seqs[i] for i in fits], batch_size):
+        i = fits[j]
         tagged[i] = read_tags(out, canonical_words(texts[i]), seqs[i].word_heads)
     return tagged

@@ -149,20 +149,3 @@ class Tokenizer:
                 symbols.append(merged)
         return cls("bpe", RESERVED + tuple(symbols), tuple(merges))
 
-
-def write_vocab(tok: Tokenizer) -> str:
-    """Vocabulary file: one token per line, line number is the id."""
-    return "".join(t + "\n" for t in tok.tokens)
-
-
-def write_merges(tok: Tokenizer) -> str:
-    """Merges file: one space-separated pair per line, priority order."""
-    return "".join(f"{a} {b}\n" for a, b in tok.merges)
-
-
-def read_vocab(text: str, mode: str = "word", merges_text: str = "") -> Tokenizer:
-    tokens = tuple(line for line in text.split("\n") if line)
-    merges = tuple(
-        (a, b) for a, b in (line.split(" ", 1) for line in merges_text.split("\n") if line)
-    )
-    return Tokenizer(mode, tokens, merges)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -59,25 +59,10 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must not be negative")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if self.lambda_mode not in ("auto", "fixed"):
             raise ValueError(f"lambda_mode must be 'auto' or 'fixed', got {self.lambda_mode!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "adam_beta1": self.adam_beta1,
-            "adam_beta2": self.adam_beta2,
-            "adam_epsilon": self.adam_epsilon,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "seed": self.seed,
-            "lambda_mode": self.lambda_mode,
-            "lambda_value": self.lambda_value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -173,7 +158,7 @@ class Checkpoint:
 
 
 _CHECKPOINT_FORMAT = "sgforge-checkpoint"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 _MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "step",
                   "metrics", "tensors")
 
@@ -196,8 +181,8 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
     manifest = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
-        "model_config": ckpt.model_config.to_dict(),
-        "train_config": ckpt.train_config.to_dict(),
+        "model_config": asdict(ckpt.model_config),
+        "train_config": asdict(ckpt.train_config),
         "tokenizer": {
             "mode": ckpt.tokenizer.mode,
             "tokens": list(ckpt.tokenizer.tokens),
@@ -237,8 +222,8 @@ def load_checkpoint(base_path: str) -> Checkpoint:
     if manifest["format"] != _CHECKPOINT_FORMAT or manifest["version"] != _CHECKPOINT_VERSION:
         raise bad(f"unsupported format {manifest['format']!r} version {manifest['version']!r}")
     try:
-        model_config = ModelConfig.from_dict(manifest["model_config"])
-        train_config = TrainConfig.from_dict(manifest["train_config"])
+        model_config = ModelConfig(**manifest["model_config"])
+        train_config = TrainConfig(**manifest["train_config"])
         tok_info = manifest["tokenizer"]
         tokenizer = Tokenizer(
             tok_info["mode"], tuple(tok_info["tokens"]),
@@ -352,7 +337,6 @@ def train(
         loss_weight = train_cfg.lambda_value
     else:
         loss_weight = calibrate_lambda(params, model_cfg, train_enc[: train_cfg.batch_size])
-    model_cfg = replace(model_cfg, loss_weight=loss_weight)
 
     state = AdamState()
     log: list[dict] = []

@@ -268,6 +268,10 @@ def aligned(tmp_path_factory):
     ("--model-config", {"tokenizer_mode": "char"}, "tokenizer_mode"),
     ("--split", {"train_image_ids": [0, 1, 2], "eval_image_ids": [2, 3]}, "eval_image_ids"),
     ("--split", {"train_image_ids": [0, 1]}, "eval_image_ids"),
+    ("--train-config", {"seed": -1}, "seed"),
+    ("--model-config", {"loss_weight": 5.0}, "loss_weight"),
+    ("--model-config", {"n_classes": 6}, "n_classes"),
+    ("--model-config", {"vocab_size": 3}, "vocab_size"),
 ])
 def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config, field):
     regions_file, conll_file = aligned
@@ -298,3 +302,88 @@ def test_parse_truncated_checkpoint_is_data_error(trained, tmp_path):
     assert "Traceback" not in proc.stderr
     assert "ckpt.bin" in proc.stderr and "tensor" in proc.stderr
     assert not (tmp_path / "pred.jsonl").exists()
+
+
+@pytest.mark.parametrize("dev_frac", ["1.5", "1.0", "-0.1", "nan"])
+def test_train_dev_frac_outside_unit_interval_is_usage_error(aligned, tmp_path, capsys,
+                                                             dev_frac):
+    regions_file, conll_file = aligned
+    capsys.readouterr()
+    code = run(["train", "--conll", conll_file, "--regions", regions_file,
+                "--dev-frac", dev_frac, "--out", str(tmp_path / "ckpt")])
+    assert code == 1
+    assert "--dev-frac" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, command, text", [
+    ("--lexicon", "align", "[1, 2]"),
+    ("--lexicon", "align", '{"a": "bc"}'),
+    ("--lexicon", "eval", '{"a": [1]}'),
+    ("--lexicon", "eval", "{"),
+    ("--grammar", "gen", "[]"),
+    ("--grammar", "gen", '{"objects": 5}'),
+    ("--grammar", "gen", '{"objects": []}'),
+    ("--grammar", "gen", '{"attributes": ["red", 7]}'),
+    ("--grammar", "gen", '{"pattern_weights": [0, 0, 0, 0]}'),
+    ("--grammar", "gen", '{"seed": "x"}'),
+    pytest.param("--grammar", "gen", "[" * 100000 + "]" * 100000, id="deep_nesting"),
+])
+def test_bad_lexicon_or_grammar_is_data_error(aligned, tmp_path, capsys, flag, command, text):
+    regions_file, _ = aligned
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = str(tmp_path / "out")
+    argv = {
+        "align": ["align", "--regions", regions_file, "--out", out],
+        "eval": ["eval", "--pred", regions_file, "--ref", regions_file, "--out", out],
+        "gen": ["gen", "--n", "3", "--out", out],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + [flag, str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_data_error(aligned, tmp_path, capsys):
+    _, conll_file = aligned
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes(b"\x80" + open(conll_file, "rb").read())
+    capsys.readouterr()
+    assert run(["convert", "--in", str(bad), "--out", str(tmp_path / "g.jsonl")]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["graph-json", "conll"])
+def test_parse_over_length_description_gets_empty_output(trained, tmp_path, capsys, fmt):
+    # the checkpoint's max_len is 16; the middle line has 20 tokens
+    _, _, ckpt_base = trained
+    long_line = " ".join(["red"] * 19 + ["bus"])
+    texts = ["blue bus", long_line, "cat on table"]
+    texts_file = tmp_path / "texts.txt"
+    texts_file.write_text("".join(t + "\n" for t in texts))
+    capsys.readouterr()
+    assert run(["parse", "--ckpt", ckpt_base, "--input", str(texts_file),
+                "--format", fmt, "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert "region 1 has 20 tokens, more than max_len 16" in captured.err
+    assert "tokens" not in captured.out
+    short_file = tmp_path / "short.txt"
+    short_file.write_text("blue bus\ncat on table\n")
+    assert run(["parse", "--ckpt", ckpt_base, "--input", str(short_file),
+                "--format", fmt, "--out", "-"]) == 0
+    alone = capsys.readouterr().out
+    if fmt == "conll":
+        blocks = captured.out.split("\n\n")[:3]
+        assert blocks[1].splitlines() == [f"{i}\t{w}\t_\t_\t_"
+                                          for i, w in enumerate(long_line.split(), start=1)]
+        assert [blocks[0], blocks[2]] == alone.split("\n\n")[:2]
+    else:
+        records = [json.loads(line) for line in captured.out.splitlines()]
+        assert [r["phrase"] for r in records] == texts
+        assert [r["region_id"] for r in records] == [0, 1, 2]
+        assert records[1]["objects"] == records[1]["attributes"] == []
+        assert records[1]["relationships"] == []
+        others = [json.loads(line) for line in alone.splitlines()]
+        for r, o in zip([records[0], records[2]], others):
+            for key in ("objects", "attributes", "relationships"):
+                assert r[key] == o[key]

@@ -1,0 +1,167 @@
+"""Corrupted input files never crash the CLI: every command ends with exit
+code 0, 1 or 2, and no exception escapes `cli.run`.
+
+Each example takes valid regions, CONLL, lexicon, grammar, config or split
+files, corrupts one of them (a JSON value replaced, deleted or added, a CONLL field
+rewritten, text spliced in, raw bytes inserted, or the file truncated) and
+runs every command that reads that kind of file. The examples are
+derandomized, so every run of the suite tries the same inputs; raise
+max_examples for a longer search.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sgforge.cli import run
+
+# small enough that a corrupted config still trains in milliseconds
+MODEL_CONFIG = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 16, "max_len": 16, "d_qk": 8}
+TRAIN_CONFIG = {"epochs": 1, "batch_size": 4}
+GRAMMAR = {"objects": ["cat", "bus"], "attributes": ["red", "old"],
+           "relations": ["on", "next to"], "seed": 3}
+LEXICON = {"cat": ["kitty"], "bus": ["auto", "coach"]}
+SPLIT = {"train_image_ids": list(range(8)), "eval_image_ids": [8, 9, 10, 11]}
+
+# Commands that read each kind of file; "{bad}" is the corrupted copy.
+COMMANDS = {
+    "regions": [
+        ["align", "--regions", "{bad}", "--out", "{w}/out.conll"],
+        ["train", "--conll", "{w}/targets.conll", "--regions", "{bad}",
+         "--model-config", "{w}/model.json", "--train-config", "{w}/train.json",
+         "--out", "{w}/out-ckpt"],
+        ["eval", "--pred", "{bad}", "--ref", "{w}/regions.jsonl", "--out", "{w}/report"],
+        ["eval", "--pred", "{w}/regions.jsonl", "--ref", "{bad}", "--out", "{w}/report"],
+        ["parse", "--ckpt", "{w}/ckpt", "--regions", "{bad}", "--out", "{w}/pred.jsonl"],
+    ],
+    "conll": [
+        ["train", "--conll", "{bad}", "--regions", "{w}/regions.jsonl",
+         "--model-config", "{w}/model.json", "--train-config", "{w}/train.json",
+         "--out", "{w}/out-ckpt"],
+        ["convert", "--in", "{bad}", "--out", "{w}/graphs.jsonl"],
+    ],
+    "lexicon": [
+        ["align", "--regions", "{w}/regions.jsonl", "--lexicon", "{bad}",
+         "--out", "{w}/out.conll"],
+        ["eval", "--pred", "{w}/regions.jsonl", "--ref", "{w}/regions.jsonl",
+         "--lexicon", "{bad}", "--out", "{w}/report"],
+    ],
+    "grammar": [["gen", "--grammar", "{bad}", "--n", "6", "--out", "{w}/gen.jsonl"]],
+    "model": [
+        ["train", "--conll", "{w}/targets.conll", "--regions", "{w}/regions.jsonl",
+         "--model-config", "{bad}", "--train-config", "{w}/train.json", "--out", "{w}/out-ckpt"],
+    ],
+    "train": [
+        ["train", "--conll", "{w}/targets.conll", "--regions", "{w}/regions.jsonl",
+         "--model-config", "{w}/model.json", "--train-config", "{bad}", "--out", "{w}/out-ckpt"],
+    ],
+    "split": [
+        ["train", "--conll", "{w}/targets.conll", "--regions", "{w}/regions.jsonl",
+         "--model-config", "{w}/model.json", "--train-config", "{w}/train.json",
+         "--split", "{bad}", "--out", "{w}/out-ckpt"],
+    ],
+}
+SOURCES = {"regions": "regions.jsonl", "conll": "targets.conll", "lexicon": "lexicon.json",
+           "grammar": "grammar.json", "model": "model.json", "train": "train.json",
+           "split": "split.json"}
+
+# integers stay small, so a corrupted model config never asks for a large model
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=6), kids,
+                                                               max_size=3),
+    max_leaves=6,
+)
+field_names = st.sampled_from([
+    "image_id", "region_id", "phrase", "objects", "attributes", "relationships", "relations",
+    "id", "label", "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len", "d_qk",
+    "tokenizer_mode", "n_classes", "loss_weight", "learning_rate", "adam_beta1", "adam_beta2",
+    "adam_epsilon", "epochs", "batch_size", "seed", "lambda_mode", "lambda_value",
+    "pattern_weights", "train_image_ids", "eval_image_ids",
+]) | st.text(max_size=6)
+conll_fields = st.sampled_from(["_", "0", "1", "2", "-1", "99", "x", "SUBJ", "PRED", "OBJT",
+                                "ATTR", "SAME", "NONE"]) | st.text(max_size=4)
+
+
+def cli(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+@pytest.fixture(scope="module")
+def work(tmp_path_factory):
+    w = tmp_path_factory.mktemp("fuzz")
+    for name, obj in (("model.json", MODEL_CONFIG), ("train.json", TRAIN_CONFIG),
+                      ("grammar.json", GRAMMAR), ("lexicon.json", LEXICON),
+                      ("split.json", SPLIT)):
+        (w / name).write_text(json.dumps(obj))
+    assert cli(["gen", "--grammar", f"{w}/grammar.json", "--n", "12",
+                "--out", f"{w}/regions.jsonl"]) == 0
+    assert cli(["align", "--regions", f"{w}/regions.jsonl", "--out", f"{w}/targets.conll"]) == 0
+    assert cli(["train", "--conll", f"{w}/targets.conll", "--regions", f"{w}/regions.jsonl",
+                "--model-config", f"{w}/model.json", "--train-config", f"{w}/train.json",
+                "--out", f"{w}/ckpt"]) == 0
+    return w
+
+
+def mutate_json(data, doc):
+    """Replace, delete or add one entry of a container inside doc, or replace
+    doc itself."""
+    node = doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 4)):
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            node[key] = data.draw(json_values)
+        elif action == "delete":
+            del node[key]
+        elif isinstance(node, dict):
+            node[data.draw(field_names)] = data.draw(json_values)
+        else:
+            node.append(data.draw(json_values))
+        return doc
+    return data.draw(json_values)
+
+
+def corrupt(data, kind: str, text: str) -> bytes:
+    how = data.draw(st.sampled_from(["structure", "splice", "bytes", "truncate"]))
+    if how == "structure":
+        lines = text.splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if kind == "conll":
+            cols = lines[i].split("\t")
+            if len(cols) == 5:
+                cols[data.draw(st.integers(0, 4))] = data.draw(conll_fields)
+            lines[i] = "\t".join(cols)
+        else:
+            lines[i] = json.dumps(mutate_json(data, json.loads(lines[i])))
+        return ("\n".join(lines) + "\n").encode()
+    raw = text.encode()
+    at = data.draw(st.integers(0, len(raw)))
+    if how == "truncate":
+        return raw[:at]
+    end = data.draw(st.integers(at, min(len(raw), at + 20)))
+    if how == "splice":
+        return raw[:at] + data.draw(st.text(max_size=12)).encode() + raw[end:]
+    return raw[:at] + data.draw(st.binary(min_size=1, max_size=6)) + raw[end:]
+
+
+@pytest.mark.parametrize("kind", sorted(COMMANDS))
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_corrupted_file_gives_an_exit_code(work, kind, data):
+    bad = work / f"bad-{kind}"
+    bad.write_bytes(corrupt(data, kind, (work / SOURCES[kind]).read_text()))
+    for template in COMMANDS[kind]:
+        argv = [arg.format(w=work, bad=bad) for arg in template]
+        assert cli(argv) in (0, 1, 2), argv

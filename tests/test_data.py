@@ -10,7 +10,6 @@ from sgforge.data import (
     generate_synthetic,
     ingest,
     region_from_dict,
-    region_to_json,
     split,
     write_regions,
 )
@@ -63,14 +62,33 @@ def test_ingest_collects_errors_without_aborting():
     assert errors[0][0] == 2
 
 
+@pytest.mark.parametrize("line", [
+    "[1]",
+    json.dumps(record(phrase=7)),
+    json.dumps(record(objects=[{"id": 1, "label": 5}])),
+    json.dumps(record(attributes=[[1, 5]])),
+    json.dumps(record(objects=[{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}],
+                      relationships=[[1, None, 2]])),
+    json.dumps(record(image_id=1e400)),
+    "[" * 100000 + "]" * 100000,
+], ids=["list", "phrase", "object_label", "attribute_label", "relation_label", "huge_id",
+        "deep_nesting"])
+def test_ingest_wrongly_typed_record_is_malformed(line):
+    lines = [json.dumps(record()), line, json.dumps(record(region_id=11))]
+    regions, errors = ingest("\n".join(lines))
+    assert [r.region_id for r in regions] == [10, 11]
+    assert len(errors) == 1
+    assert errors[0][0] == 2 and errors[0][1].startswith("Malformed: ")
+
+
 def test_ingest_reserialization_is_byte_exact():
-    line = region_to_json(
+    line = write_regions([
         Region(1, 10, "blue and red bus",
                build_graph([(1, "bus")], [(1, "blue"), (1, "red")]))
-    )
+    ])
     regions, errors = ingest(line)
     assert errors == []
-    assert region_to_json(regions[0]) == line
+    assert write_regions(regions) == line
 
 
 def test_split_partitions_by_image_id():
@@ -80,9 +98,9 @@ def test_split_partitions_by_image_id():
         Region(3, 3, "a bus", build_graph([])),
     ]
     train, eval_ = split(regions, SplitSpec(frozenset({1}), frozenset({2})))
-    assert [r.image_id for r in train] == [1]
-    assert [r.image_id for r in eval_] == [2]
-    # region with image 3 dropped
+    assert train == [0]
+    assert eval_ == [1]
+    # region with image 3 left out
     assert len(train) + len(eval_) == 2
 
 
@@ -103,7 +121,7 @@ def test_split_same_image_stays_together():
         Region(7, 2, "a dog", build_graph([])),
     ]
     train, eval_ = split(regions, SplitSpec(frozenset({7}), frozenset()))
-    assert len(train) == 2
+    assert train == [0, 1] and eval_ == []
 
 
 def test_generate_deterministic():

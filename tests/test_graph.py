@@ -50,7 +50,7 @@ def test_build_graph_counts():
 
 def test_build_graph_empty_is_valid():
     g = build_graph([], [], [])
-    assert g.is_empty()
+    assert g == SceneGraph()
     assert len(extract_tuples(g)) == 0
 
 
@@ -74,8 +74,7 @@ def test_duplicate_object_ids_rejected():
 def test_self_relation_kept_and_flagged():
     g = build_graph([(1, "cat")], [], [(1, "licks", 1)])
     assert g.relations == ((1, "licks", 1),)
-    assert g.self_relations == ((1, "licks", 1),)
-    assert fig1_graph().self_relations == ()
+    assert extract_tuples(g).ternary == {("cat", "licks", "cat")}
 
 
 def test_extract_tuples_fig1():
@@ -124,7 +123,7 @@ def test_tuple_cardinality_bounds(g):
 
 @given(graphs())
 def test_rebuild_identity(g):
-    rebuilt = build_graph(g.objects, g.attributes, g.relations)
+    rebuilt = build_graph([(o.id, o.label) for o in g.objects], g.attributes, g.relations)
     assert rebuilt == g
 
 

@@ -35,8 +35,6 @@ def small_seq(t=6):
 def test_config_validates():
     with pytest.raises(ValueError):
         ModelConfig(vocab_size=10, d_model=10, n_heads=3)
-    with pytest.raises(ValueError):
-        ModelConfig(vocab_size=10, n_classes=5)
 
 
 def test_forward_shapes():

@@ -11,14 +11,12 @@ from sgforge.tokenizer import (
     Tokenizer,
     apply_bpe,
     learn_bpe,
-    read_vocab,
-    write_merges,
-    write_vocab,
 )
 
 
 def test_word_mode_encode():
     tok = Tokenizer.from_corpus(["blue bus", "red bus"], mode="word")
+    assert tok.tokens[:4] == ("<root>", "<unk>", "<pad>", "<eos>")
     seq = tok.encode("blue bus")
     assert seq.ids[0] == ROOT_ID
     assert len(seq.ids) == 3
@@ -63,23 +61,6 @@ def test_learn_bpe_learns_frequent_pairs():
     assert len(merges) == 2
     ranks = {pair: i for i, pair in enumerate(merges)}
     assert apply_bpe("bus", ranks) == ["bus"]
-
-
-def test_vocab_file_roundtrip():
-    tok = Tokenizer.from_corpus(["blue bus red"], mode="word")
-    text = write_vocab(tok)
-    lines = text.splitlines()
-    assert lines[:4] == ["<root>", "<unk>", "<pad>", "<eos>"]
-    back = read_vocab(text)
-    assert back.tokens == tok.tokens
-
-
-def test_merges_file_roundtrip():
-    tok = Tokenizer.from_corpus(["bus bus sub"], mode="bpe", n_merges=3)
-    text = write_merges(tok)
-    back = read_vocab(write_vocab(tok), mode="bpe", merges_text=text)
-    assert back.merges == tok.merges
-    assert back.encode("bus") == tok.encode("bus")
 
 
 def test_bpe_encode_matches_ranks_built_per_call():

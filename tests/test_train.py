@@ -136,6 +136,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
         TrainConfig(epochs=-1)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
     assert TrainConfig(epochs=0).epochs == 0
 
 
@@ -263,6 +265,18 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
             assert f1.read() == f2.read()
 
 
+def test_checkpoint_keeps_bpe_tokenizer(tmp_path):
+    # the manifest embeds the tokenizer: tokens, merges in priority order, mode
+    examples = synthetic_examples(12)
+    result = train(examples, [], replace(DESK_SMALL, tokenizer_mode="bpe"),
+                   TrainConfig(epochs=0))
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(result.final, base)
+    tok, back = result.final.tokenizer, load_checkpoint(base).tokenizer
+    assert tok.merges and back == tok
+    assert back.encode("blue buses behind") == tok.encode("blue buses behind")
+
+
 def test_checkpoint_forward_bit_exact(tmp_path):
     examples = synthetic_examples(12)
     result = train(examples[:10], examples[10:], DESK_SMALL,
@@ -312,7 +326,7 @@ def _grow_pos_emb(m):
 
 @pytest.mark.parametrize("edit, needle", [
     (lambda m: m.update(format="other"), "format"),
-    (lambda m: m.update(version=2), "version"),
+    (lambda m: m.update(version=1), "version"),
     (lambda m: m.pop("tensors"), "tensors"),
     (lambda m: m.pop("tokenizer"), "tokenizer"),
     (lambda m: m["train_config"].update(batch_size=0), "batch_size"),
