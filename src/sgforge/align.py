@@ -88,113 +88,60 @@ def align(description: str, g: SceneGraph, lex: Lexicon = EMPTY_LEXICON) -> Alig
     that cannot be fully encoded are excluded and reported.
     """
     words = canonical_words(description)
-    t_count = len(words)
-    consumed = [False] * t_count
-
-    # node list in insertion order: objects, then attributes, then relation predicates
-    nodes: list[tuple] = []
-    for o in g.objects:
-        nodes.append(("object", o.id, o.label))
-    for k, (oid, label) in enumerate(g.attributes):
-        nodes.append(("attribute", k, label))
-    for k, (sid, label, oid) in enumerate(g.relations):
-        nodes.append(("predicate", k, label))
-
-    order = sorted(
-        range(len(nodes)), key=lambda i: (-len(nodes[i][2].split()), i)
-    )
+    consumed = [False] * len(words)
+    nodes = ([("object", o.id, o.label) for o in g.objects]
+             + [("attribute", k, label) for k, (_, label) in enumerate(g.attributes)]
+             + [("predicate", k, label) for k, (_, label, _) in enumerate(g.relations)])
     spans: dict[tuple[str, int], tuple[int, int]] = {}  # node key -> (start, end)
-    for i in order:
-        kind, key, label = nodes[i]
-        candidates = sorted(
-            (syn.split() for syn in lex.synonyms(label)),
-            key=lambda ws: (-len(ws), ws),
-        )
+    for kind, key, label in sorted(nodes, key=lambda node: -len(node[2].split())):
+        candidates = sorted((syn.split() for syn in lex.synonyms(label)),
+                            key=lambda ws: (-len(ws), ws))
         found = _find_span(words, consumed, candidates)
-        if found is None:
-            continue
-        start, end = found
-        for p in range(start, end):
-            consumed[p] = True
-        spans[(kind, key)] = (start, end)
-
-    def head_of(kind: str, key: int) -> int | None:
-        span = spans.get((kind, key))
-        return None if span is None else span[1]  # 1-based head = end index
+        if found is not None:
+            consumed[found[0]:found[1]] = [True] * (found[1] - found[0])
+            spans[kind, key] = found
 
     # A relation is encodable when all three spans matched and its object
     # endpoint is free: the endpoint must never be a relation subject (dual
     # role keeps SUBJ) and can carry only one incoming OBJT arc.
-    subject_ids = set()
-    for k, (sid, label, oid) in enumerate(g.relations):
-        if (
-            ("object", sid) in spans
-            and ("object", oid) in spans
-            and ("predicate", k) in spans
-        ):
-            subject_ids.add(sid)
-
-    aligned_relations: dict[int, tuple[int, str, int]] = {}
+    matched = [k for k, (sid, _, oid) in enumerate(g.relations)
+               if ("object", sid) in spans and ("object", oid) in spans
+               and ("predicate", k) in spans]
+    subject_ids = {g.relations[k][0] for k in matched}
     objt_parent: dict[int, int] = {}  # object id -> relation index claiming it
-    unaligned: list[tuple] = []
-    for k, (sid, label, oid) in enumerate(g.relations):
-        ok = (
-            ("object", sid) in spans
-            and ("object", oid) in spans
-            and ("predicate", k) in spans
-            and oid not in subject_ids
-            and oid not in objt_parent
-            and sid != oid
-        )
-        if ok:
-            aligned_relations[k] = (sid, label, oid)
+    for k in matched:
+        oid = g.relations[k][2]
+        if oid not in subject_ids and oid not in objt_parent:
             objt_parent[oid] = k
-        else:
-            unaligned.append(("relation", sid, label, oid))
+    attrs = [k for k, (oid, _) in enumerate(g.attributes)
+             if ("attribute", k) in spans and ("object", oid) in spans]
+    rels = set(objt_parent.values())
+    unaligned = tuple(
+        [("relation", *r) for k, r in enumerate(g.relations) if k not in rels]
+        + [("attribute", *a) for k, a in enumerate(g.attributes) if k not in attrs]
+        + [("object", o.id, o.label) for o in g.objects if ("object", o.id) not in spans])
 
-    aligned_attrs: dict[int, tuple[int, str]] = {}
-    for k, (oid, label) in enumerate(g.attributes):
-        if ("attribute", k) in spans and ("object", oid) in spans:
-            aligned_attrs[k] = (oid, label)
-        else:
-            unaligned.append(("attribute", oid, label))
+    types = [NodeType.NONE] * (len(words) + 1)  # 1-based
+    parents = [0] * (len(words) + 1)
 
-    aligned_objects = set()
+    def place(key: tuple[str, int], node_type: NodeType, parent: int):
+        start, end = spans[key]  # end is the 1-based head position
+        types[end], parents[end] = node_type, parent
+        for p in range(start + 1, end):
+            types[p], parents[p] = NodeType.SAME, end
+
     for o in g.objects:
         if ("object", o.id) in spans:
-            aligned_objects.add(o.id)
-        else:
-            unaligned.append(("object", o.id, o.label))
+            k = objt_parent.get(o.id)
+            if k is None:
+                place(("object", o.id), NodeType.SUBJ, 0)
+            else:
+                place(("object", o.id), NodeType.OBJT, spans["predicate", k][1])
+    for k in rels:
+        place(("predicate", k), NodeType.PRED, spans["object", g.relations[k][0]][1])
+    for k in attrs:
+        place(("attribute", k), NodeType.ATTR, spans["object", g.attributes[k][0]][1])
 
-    # token assignment
-    types = [NodeType.NONE] * (t_count + 1)  # 1-based
-    parents = [0] * (t_count + 1)
-
-    def place(kind: str, key: int, node_type: NodeType, parent: int):
-        start, end = spans[(kind, key)]
-        head = end  # 1-based position of last span token
-        types[head] = node_type
-        parents[head] = parent
-        for p in range(start + 1, end):  # earlier span tokens, 1-based start+1..end-1
-            types[p] = NodeType.SAME
-            parents[p] = head
-
-    for oid in aligned_objects:
-        if oid in objt_parent:
-            k = objt_parent[oid]
-            pred_head = head_of("predicate", k)
-            place("object", oid, NodeType.OBJT, pred_head)
-        else:
-            place("object", oid, NodeType.SUBJ, 0)
-    for k, (sid, label, oid) in aligned_relations.items():
-        place("predicate", k, NodeType.PRED, head_of("object", sid))
-    for k, (oid, label) in aligned_attrs.items():
-        place("attribute", k, NodeType.ATTR, head_of("object", oid))
-
-    tokens = tuple(
-        TaggedToken(i, words[i - 1], types[i], parents[i]) for i in range(1, t_count + 1)
-    )
-    total = len(nodes)
-    aligned_count = len(aligned_objects) + len(aligned_attrs) + len(aligned_relations)
-    coverage = 1.0 if total == 0 else aligned_count / total
-    return AlignmentResult(TaggedSentence(tokens), coverage, tuple(unaligned))
+    tokens = tuple(TaggedToken(i, w, types[i], parents[i]) for i, w in enumerate(words, 1))
+    coverage = (len(nodes) - len(unaligned)) / len(nodes) if nodes else 1.0
+    return AlignmentResult(TaggedSentence(tokens), coverage, unaligned)

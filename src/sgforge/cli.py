@@ -22,7 +22,7 @@ from .data import (
     split,
     write_regions,
 )
-from .errors import ConfigError, IdMismatchError, SgforgeError
+from .errors import ConfigError, IdMismatchError, ParseError, SequenceTooLongError, SgforgeError
 from .graph import canonical_words
 from .metrics import evaluate_corpus
 from .model import ModelConfig, predict
@@ -63,6 +63,8 @@ def _load(path: str, parse):
     """parse(text of the file); a value it rejects is a data error naming the file."""
     try:
         return parse(_read(path))
+    except ParseError as e:
+        raise SgforgeError(f"{path}: {e}") from None
     except KeyError as e:
         raise ConfigError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError, RecursionError) as e:
@@ -80,6 +82,10 @@ def _load_regions(path: str) -> list[Region]:
             print(f"{path}:{line_no}: {reason}", file=sys.stderr)
         raise SgforgeError(f"{len(errors)} bad region records in {path}")
     return regions
+
+
+def _too_long(path: str, region_id: int, n: int, max_len: int) -> str:
+    return f"{path}: region {region_id} has {n} tokens, more than max_len {max_len}"
 
 
 def _build_parser() -> _Parser:
@@ -188,8 +194,10 @@ def _config(cls, kwargs: dict, source: str):
 def _cmd_train(args) -> int:
     if not 0.0 <= args.dev_frac < 1.0:
         raise _UsageError(f"--dev-frac must lie in [0, 1), got {args.dev_frac}")
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must not be negative, got {args.seed}")
     regions = _load_regions(args.regions)
-    sentences = read_conll(_read(args.conll))
+    sentences = _load(args.conll, read_conll)
     if len(sentences) != len(regions):
         raise IdMismatchError(
             f"{len(sentences)} CONLL sentences but {len(regions)} regions"
@@ -214,8 +222,13 @@ def _cmd_train(args) -> int:
         Example(r.description, sent, r.graph) for r, sent in zip(regions, sentences)
     ]
     train_pos, dev_pos = split(regions, spec)
-    result = train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
-                   model_cfg, train_cfg, log_fn=print)
+    try:
+        result = train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
+                       model_cfg, train_cfg, log_fn=print)
+    except SequenceTooLongError as e:
+        region = regions[(train_pos + dev_pos)[e.position]]
+        raise SequenceTooLongError(
+            _too_long(args.regions, region.region_id, e.tokens, model_cfg.max_len)) from None
     save_checkpoint(result.final, args.out)
     save_checkpoint(result.best, args.out + ".best")
     return 0
@@ -240,9 +253,8 @@ def _cmd_parse(args) -> int:
         if sent is None:  # too long for the model: reported, written untagged
             _, region_id, desc = items[k]
             n = len(ckpt.tokenizer.encode(desc)) - 1
-            print(f"sgforge: {args.input or args.regions}: region {region_id} has {n} tokens, "
-                  f"more than max_len {cfg.max_len}; written with an empty graph",
-                  file=sys.stderr)
+            print(f"sgforge: {_too_long(args.input or args.regions, region_id, n, cfg.max_len)}; "
+                  "written with an empty graph", file=sys.stderr)
             sents[k] = tagged([(w, NodeType.NONE, 0) for w in canonical_words(desc)])
     if args.format == "conll":
         _write(args.out, write_conll(sents))
@@ -286,7 +298,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    sentences = read_conll(_read(args.infile))
+    sentences = _load(args.infile, read_conll)
     regions = [
         Region(i, i, " ".join(tok.form for tok in sent), decode_tags_to_graph(sent).graph)
         for i, sent in enumerate(sentences)

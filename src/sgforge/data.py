@@ -16,6 +16,9 @@ from .align import STOPWORDS
 from .errors import DanglingReferenceError, EmptyLabelError
 from .graph import SceneGraph, build_graph, graph_from_dict, graph_to_dict
 
+_BLANK_PHRASE = "empty region description"
+
+
 @dataclass(frozen=True)
 class Region:
     image_id: int
@@ -47,7 +50,7 @@ def region_from_dict(record: dict) -> Region:
     if not isinstance(phrase, str):
         raise TypeError(f"phrase must be a string, got {phrase!r}")
     if not phrase.strip():
-        raise EmptyLabelError("empty region description")
+        raise EmptyLabelError(_BLANK_PHRASE)
     graph = graph_from_dict(record)
     return Region(int(record["image_id"]), int(record["region_id"]), phrase, graph)
 
@@ -65,8 +68,9 @@ def ingest(lines: list[str] | str) -> tuple[list[Region], list[tuple[int, str]]]
         try:
             record = json.loads(line)
             regions.append(region_from_dict(record))
-        except EmptyLabelError:
-            errors.append((line_no, "EmptyDescription"))
+        except EmptyLabelError as e:  # a blank phrase, or a blank label it quotes
+            errors.append((line_no, "EmptyDescription" if str(e) == _BLANK_PHRASE
+                           else f"EmptyLabel: {e}"))
         except DanglingReferenceError as e:
             errors.append((line_no, f"DanglingReference: {e}"))
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:

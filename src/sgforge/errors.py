@@ -26,7 +26,13 @@ class LengthMismatchError(SgforgeError):
 
 
 class SequenceTooLongError(SgforgeError):
-    """Input sequence exceeds the configured maximum length."""
+    """Input sequence exceeds the configured maximum length. Where known,
+    carries the sequence's position in the caller's list and its token count."""
+
+    def __init__(self, message: str, position: int | None = None, tokens: int | None = None):
+        super().__init__(message)
+        self.position = position
+        self.tokens = tokens
 
 
 class ShapeMismatchError(SgforgeError):

@@ -115,136 +115,78 @@ class DecodeReport:
 def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
     """Deterministically decode a tagged sentence into a scene graph.
 
-    Four phases: resolve SAME chains into merged surface forms, create object
-    nodes for SUBJ/OBJT tokens, attach arcs that pass arc_legal against the
-    resolved parent type, then emit attribute pairs and relation triples.
-    Failures become dropped_arcs entries; decoding never raises.
+    SAME tokens merge into the phrase of the first non-SAME token up their
+    parent chain; SUBJ/OBJT tokens become object nodes; arcs that pass
+    arc_legal against their chain's head attach; attached ATTR tokens emit
+    attribute pairs and full OBJT -> PRED -> SUBJ spines emit relations.
+    A token is dropped for at most one reason, the first it meets in that
+    order, and each drop becomes a dropped_arcs entry; decoding never raises.
     """
-    toks = {t.index: t for t in sent}
-    t_count = len(sent)
-    dropped: list[tuple[int, str]] = []
+    forms = {t.index: t.form for t in sent}
+    kinds = {t.index: t.node_type for t in sent}
+    parents = {t.index: t.parent for t in sent}
+    drops: dict[int, str] = {}
 
-    # Phase 1: SAME resolution. Follow parent chains through SAME tokens until
-    # a non-SAME head; chains hitting ROOT, NONE, or exceeding T hops drop.
-    same_head: dict[int, int] = {}
-    for tok in sent:
-        if tok.node_type is not NodeType.SAME:
-            continue
-        if tok.parent == tok.index:
-            dropped.append((tok.index, SELF_REFERENCE))
-            continue
-        j = tok.parent
-        hops = 1
-        reason = None
-        while True:
-            if hops > t_count:
-                reason = SAME_CYCLE
-                break
+    def head(i: int) -> int | str:
+        """The first non-SAME token up i's parent chain, or why there is none."""
+        j = parents[i]
+        for _ in range(len(sent)):
             if j == 0:
-                reason = ILLEGAL_ARC
-                break
-            target = toks[j]
-            if target.node_type is NodeType.NONE:
-                reason = SAME_TO_NONE
-                break
-            if target.node_type is not NodeType.SAME:
-                same_head[tok.index] = j
-                break
-            j = target.parent
-            hops += 1
-        if reason is not None:
-            dropped.append((tok.index, reason))
+                return ILLEGAL_ARC
+            if kinds[j] is NodeType.NONE:
+                return SAME_TO_NONE
+            if kinds[j] is not NodeType.SAME:
+                return j
+            j = parents[j]
+        return SAME_CYCLE
 
-    pieces: dict[int, list[int]] = {}
-    for piece, head in same_head.items():
-        pieces.setdefault(head, []).append(piece)
-    merged_phrases = tuple(
-        (head, tuple(sorted(pieces[head]))) for head in sorted(pieces)
-    )
-
-    def surface_label(index: int) -> str | None:
-        parts = sorted(pieces.get(index, []) + [index])
-        words = canonical_words(" ".join(toks[k].form for k in parts))
-        return " ".join(words) if words else None
-
-    # Phase 2: node creation. Labels must be known for every position before
-    # arcs are checked, since parents may follow their children.
-    labels: dict[int, str] = {}
-    object_ids: list[int] = []
-    for tok in sent:
-        if tok.node_type in (NodeType.NONE, NodeType.SAME):
-            continue
-        label = surface_label(tok.index)
-        if label is None:
-            dropped.append((tok.index, EMPTY_LABEL))
-            continue
-        labels[tok.index] = label
-        if tok.node_type in (NodeType.SUBJ, NodeType.OBJT):
-            object_ids.append(tok.index)
-
-    # Phase 3: arc attachment. Arcs point at the resolved head of any SAME
-    # parent; legality is checked against the head's type.
-    attached: dict[int, int] = {}  # child -> resolved parent index
-    for tok in sent:
-        kind = tok.node_type
-        if kind in (NodeType.NONE, NodeType.SAME) or tok.index not in labels:
-            continue
-        if kind is NodeType.SUBJ:
-            # The SUBJ arc carries no information beyond ROOT attachment.
-            if tok.parent == tok.index:
-                dropped.append((tok.index, SELF_REFERENCE))
-            elif tok.parent != 0:
-                dropped.append((tok.index, SUBJ_NOT_ROOT))
-            continue
-        if tok.parent == tok.index:
-            dropped.append((tok.index, SELF_REFERENCE))
-            continue
-        if tok.parent == 0:
-            dropped.append((tok.index, ILLEGAL_ARC))
-            continue
-        parent = tok.parent
-        if toks[parent].node_type is NodeType.SAME:
-            resolved = same_head.get(parent)
-            if resolved is None:
-                dropped.append((tok.index, ILLEGAL_ARC))
-                continue
-            parent = resolved
-        if parent not in labels or not arc_legal(kind, toks[parent].node_type):
-            dropped.append((tok.index, ILLEGAL_ARC))
-            continue
-        attached[tok.index] = parent
-
-    # Phase 4: emission. Attributes need a surviving object parent; relations
-    # need the full OBJT -> PRED -> SUBJ spine.
-    attributes: list[tuple[int, str]] = []
-    relations: list[tuple[int, str, int]] = []
-    preds_with_child: set[int] = set()
-    for tok in sent:
-        i = tok.index
-        if tok.node_type is NodeType.ATTR and i in attached:
-            attributes.append((attached[i], labels[i]))
-        elif tok.node_type is NodeType.OBJT and i in attached:
-            pred = attached[i]
-            subj = attached.get(pred)
-            if subj is None:
-                dropped.append((i, PRED_DROPPED))
+    pieces: dict[int, list[int]] = {}  # phrase head -> its SAME tokens, ascending
+    for i in kinds:
+        if kinds[i] is NodeType.SAME:
+            h = SELF_REFERENCE if parents[i] == i else head(i)
+            if isinstance(h, str):
+                drops[i] = h
             else:
-                relations.append((subj, labels[pred], i))
-                preds_with_child.add(pred)
-    for tok in sent:
-        if (
-            tok.node_type is NodeType.PRED
-            and tok.index in attached
-            and tok.index not in preds_with_child
-        ):
-            dropped.append((tok.index, NO_OBJECT))
+                pieces.setdefault(h, []).append(i)
+
+    # Labels come first: a parent may follow its child.
+    labels: dict[int, str] = {}
+    for i in kinds:
+        if kinds[i] not in (NodeType.NONE, NodeType.SAME):
+            words = canonical_words(" ".join(forms[k] for k in sorted(pieces.get(i, []) + [i])))
+            if words:
+                labels[i] = " ".join(words)
+            else:
+                drops[i] = EMPTY_LABEL
+
+    attached: dict[int, int] = {}  # child -> head of its parent chain
+    for i in labels:
+        if parents[i] == i:
+            drops[i] = SELF_REFERENCE
+        elif kinds[i] is NodeType.SUBJ:  # the arc only says "attach to ROOT"
+            if parents[i] != 0:
+                drops[i] = SUBJ_NOT_ROOT
+        else:
+            h = head(i)  # a reason string is never a label key
+            if h in labels and arc_legal(kinds[i], kinds[h]):
+                attached[i] = h
+            else:
+                drops[i] = ILLEGAL_ARC
+
+    attributes = [(p, labels[i]) for i, p in attached.items() if kinds[i] is NodeType.ATTR]
+    objts = [(i, p) for i, p in attached.items() if kinds[i] is NodeType.OBJT]
+    relations = [(attached[p], labels[p], i) for i, p in objts if p in attached]
+    drops.update((i, PRED_DROPPED) for i, p in objts if p not in attached)
+    preds = {p for _, p in objts}  # an attached PRED among these has a relation
+    drops.update((i, NO_OBJECT) for i in attached if kinds[i] is NodeType.PRED and i not in preds)
 
     graph = build_graph(
-        [(i, labels[i]) for i in object_ids],
+        [(i, labels[i]) for i in labels if kinds[i] in (NodeType.SUBJ, NodeType.OBJT)],
         attributes,
         relations,
     )
-    return DecodeReport(graph, tuple(sorted(dropped)), merged_phrases)
+    merged_phrases = tuple((h, tuple(p)) for h, p in sorted(pieces.items()))
+    return DecodeReport(graph, tuple(sorted(drops.items())), merged_phrases)
 
 
 # CONLL layout: INDEX, FORM, HEAD, ARC_LABEL, NODE_TYPE, tab-separated.

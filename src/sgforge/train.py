@@ -12,10 +12,10 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .align import EMPTY_LEXICON
 from .errors import (
     CheckpointError,
     EmptyDatasetError,
+    SequenceTooLongError,
     ShapeMismatchError,
     TrainingDivergedError,
 )
@@ -111,11 +111,11 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
 @dataclass(frozen=True)
 class Example:
     """One training or dev item: a description, its tagging target, and
-    (for dev scoring) the reference graph."""
+    the reference graph that dev scoring reads."""
 
     description: str
     target: TaggedSentence
-    graph: SceneGraph | None = None
+    graph: SceneGraph
 
 
 @dataclass
@@ -123,7 +123,7 @@ class Encoded:
     seq: TokenSequence
     types: np.ndarray
     parents: np.ndarray
-    example: Example | None = None
+    example: Example
 
 
 def calibrate_lambda(params: Params, cfg: ModelConfig, batch: list[Encoded]) -> float:
@@ -286,27 +286,20 @@ def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Enco
 
 def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
     """Dev loss and dev F, both read from one batched forward pass."""
+    if not dev_encoded:
+        return 0.0, None
     losses = [0.0] * len(dev_encoded)
     graphs: list[SceneGraph | None] = [None] * len(dev_encoded)
     seqs = [enc.seq for enc in dev_encoded]
     for i, outputs in forward_batches(params, model_cfg, seqs, batch_size):
         enc = dev_encoded[i]
         losses[i] = loss_from_outputs(outputs, enc.types, enc.parents, loss_weight)
-        if enc.example.graph is not None:
-            words = canonical_words(enc.example.description)
-            tagged = read_tags(outputs, words, enc.seq.word_heads)
-            graphs[i] = decode_tags_to_graph(tagged).graph
-    scored = [enc.example for enc in dev_encoded if enc.example.graph is not None]
-    dev_f = None
-    if scored:
-        aggregate, _ = evaluate_corpus(
-            [g for g in graphs if g is not None],
-            [ex.graph for ex in scored],
-            [ex.description for ex in scored],
-            EMPTY_LEXICON, limited=False, region_ids=list(range(len(scored))),
-        )
-        dev_f = aggregate["mean_f"]
-    return (sum(losses) / len(losses) if losses else 0.0), dev_f
+        words = canonical_words(enc.example.description)
+        graphs[i] = decode_tags_to_graph(read_tags(outputs, words, enc.seq.word_heads)).graph
+    examples = [enc.example for enc in dev_encoded]
+    aggregate, _ = evaluate_corpus(
+        graphs, [ex.graph for ex in examples], [ex.description for ex in examples])
+    return sum(losses) / len(losses), aggregate["mean_f"]
 
 
 def _all_finite(arrays) -> bool:
@@ -332,6 +325,12 @@ def train(
     params = init_params(model_cfg, seed=train_cfg.seed)
     train_enc = _encode_examples(tokenizer, train_examples)
     dev_enc = _encode_examples(tokenizer, dev_examples)
+    for k, enc in enumerate(train_enc + dev_enc):  # fail before the first step
+        if len(enc.seq) > model_cfg.max_len + 1:
+            n = len(enc.seq) - 1
+            raise SequenceTooLongError(
+                f"example {k} (train examples first, then dev) has {n} tokens, more than "
+                f"max_len {model_cfg.max_len}", position=k, tokens=n)
 
     if train_cfg.lambda_mode == "fixed":
         loss_weight = train_cfg.lambda_value

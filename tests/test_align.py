@@ -1,6 +1,16 @@
-from sgforge.align import Lexicon, align, useful_word_count
-from sgforge.graph import build_graph, extract_tuples
-from sgforge.tags import NodeType, decode_tags_to_graph
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sgforge.align import (
+    EMPTY_LEXICON,
+    AlignmentResult,
+    Lexicon,
+    _find_span,
+    align,
+    useful_word_count,
+)
+from sgforge.graph import SceneGraph, build_graph, canonical_words, extract_tuples
+from sgforge.tags import NodeType, TaggedSentence, TaggedToken, decode_tags_to_graph
 
 T = NodeType
 
@@ -128,3 +138,168 @@ def test_lexicon_symmetric_closure():
     assert lex.match("cat", "cat")
     assert not lex.match("cat", "dog")
     assert lex.synonyms("dog") == {"dog"}
+
+
+# Reference aligner: an index sort, explicit loops and a twice-run "all three
+# spans matched" test. align must return an equal result for every input.
+def align_reference(description: str, g: SceneGraph, lex: Lexicon = EMPTY_LEXICON) -> AlignmentResult:
+    """Align a ground-truth graph to its description, producing tagging targets.
+
+    Span matching is greedy: nodes sorted by label word count (longest first,
+    ties by graph insertion order), each taking the earliest unconsumed span
+    equal to its label or a lexicon synonym. Span heads (last token) carry the
+    node type; earlier span tokens are SAME pointing at the head. Fragments
+    that cannot be fully encoded are excluded and reported.
+    """
+    words = canonical_words(description)
+    t_count = len(words)
+    consumed = [False] * t_count
+
+    # node list in insertion order: objects, then attributes, then relation predicates
+    nodes: list[tuple] = []
+    for o in g.objects:
+        nodes.append(("object", o.id, o.label))
+    for k, (oid, label) in enumerate(g.attributes):
+        nodes.append(("attribute", k, label))
+    for k, (sid, label, oid) in enumerate(g.relations):
+        nodes.append(("predicate", k, label))
+
+    order = sorted(
+        range(len(nodes)), key=lambda i: (-len(nodes[i][2].split()), i)
+    )
+    spans: dict[tuple[str, int], tuple[int, int]] = {}  # node key -> (start, end)
+    for i in order:
+        kind, key, label = nodes[i]
+        candidates = sorted(
+            (syn.split() for syn in lex.synonyms(label)),
+            key=lambda ws: (-len(ws), ws),
+        )
+        found = _find_span(words, consumed, candidates)
+        if found is None:
+            continue
+        start, end = found
+        for p in range(start, end):
+            consumed[p] = True
+        spans[(kind, key)] = (start, end)
+
+    def head_of(kind: str, key: int) -> int | None:
+        span = spans.get((kind, key))
+        return None if span is None else span[1]  # 1-based head = end index
+
+    # A relation is encodable when all three spans matched and its object
+    # endpoint is free: the endpoint must never be a relation subject (dual
+    # role keeps SUBJ) and can carry only one incoming OBJT arc.
+    subject_ids = set()
+    for k, (sid, label, oid) in enumerate(g.relations):
+        if (
+            ("object", sid) in spans
+            and ("object", oid) in spans
+            and ("predicate", k) in spans
+        ):
+            subject_ids.add(sid)
+
+    aligned_relations: dict[int, tuple[int, str, int]] = {}
+    objt_parent: dict[int, int] = {}  # object id -> relation index claiming it
+    unaligned: list[tuple] = []
+    for k, (sid, label, oid) in enumerate(g.relations):
+        ok = (
+            ("object", sid) in spans
+            and ("object", oid) in spans
+            and ("predicate", k) in spans
+            and oid not in subject_ids
+            and oid not in objt_parent
+            and sid != oid
+        )
+        if ok:
+            aligned_relations[k] = (sid, label, oid)
+            objt_parent[oid] = k
+        else:
+            unaligned.append(("relation", sid, label, oid))
+
+    aligned_attrs: dict[int, tuple[int, str]] = {}
+    for k, (oid, label) in enumerate(g.attributes):
+        if ("attribute", k) in spans and ("object", oid) in spans:
+            aligned_attrs[k] = (oid, label)
+        else:
+            unaligned.append(("attribute", oid, label))
+
+    aligned_objects = set()
+    for o in g.objects:
+        if ("object", o.id) in spans:
+            aligned_objects.add(o.id)
+        else:
+            unaligned.append(("object", o.id, o.label))
+
+    # token assignment
+    types = [NodeType.NONE] * (t_count + 1)  # 1-based
+    parents = [0] * (t_count + 1)
+
+    def place(kind: str, key: int, node_type: NodeType, parent: int):
+        start, end = spans[(kind, key)]
+        head = end  # 1-based position of last span token
+        types[head] = node_type
+        parents[head] = parent
+        for p in range(start + 1, end):  # earlier span tokens, 1-based start+1..end-1
+            types[p] = NodeType.SAME
+            parents[p] = head
+
+    for oid in aligned_objects:
+        if oid in objt_parent:
+            k = objt_parent[oid]
+            pred_head = head_of("predicate", k)
+            place("object", oid, NodeType.OBJT, pred_head)
+        else:
+            place("object", oid, NodeType.SUBJ, 0)
+    for k, (sid, label, oid) in aligned_relations.items():
+        place("predicate", k, NodeType.PRED, head_of("object", sid))
+    for k, (oid, label) in aligned_attrs.items():
+        place("attribute", k, NodeType.ATTR, head_of("object", oid))
+
+    tokens = tuple(
+        TaggedToken(i, words[i - 1], types[i], parents[i]) for i in range(1, t_count + 1)
+    )
+    total = len(nodes)
+    aligned_count = len(aligned_objects) + len(aligned_attrs) + len(aligned_relations)
+    coverage = 1.0 if total == 0 else aligned_count / total
+    return AlignmentResult(TaggedSentence(tokens), coverage, tuple(unaligned))
+
+
+# Labels share words and prefixes, so spans overlap, longer labels compete
+# with shorter ones and one word can serve several nodes.
+LABELS = ["a", "b", "c", "a b", "b c", "a b c", "c a"]
+
+
+@st.composite
+def aligner_inputs(draw, with_lexicon):
+    ids = draw(st.lists(st.integers(0, 6), max_size=5, unique=True))
+    objects = [(oid, draw(st.sampled_from(LABELS))) for oid in ids]
+    attributes, relations = [], []
+    if ids:
+        some_id = st.sampled_from(ids)
+        labels = st.sampled_from(LABELS)
+        attributes = draw(st.lists(st.tuples(some_id, labels), max_size=4))
+        relations = draw(st.lists(st.tuples(some_id, labels, some_id), max_size=5))
+    # most node labels appear in the description, shuffled among noise words,
+    # so that relations sharing endpoints have all their spans matched
+    pieces = [label for _, label in objects + attributes] + [r[1] for r in relations]
+    pieces = [p for p in pieces if draw(st.integers(0, 5))]
+    pieces += draw(st.lists(st.sampled_from(["a", "b", "c", "the", "B"]), max_size=4))
+    description = " ".join(draw(st.permutations(pieces)))
+    lex = EMPTY_LEXICON
+    if with_lexicon:
+        lex = Lexicon.from_pairs(draw(st.dictionaries(
+            st.sampled_from(LABELS), st.lists(st.sampled_from(LABELS), max_size=3),
+            max_size=4)))
+    return description, build_graph(objects, attributes, relations), lex
+
+
+@given(aligner_inputs(with_lexicon=False))
+@settings(max_examples=400)
+def test_align_equals_reference_on_random_graphs(inputs):
+    assert align(*inputs) == align_reference(*inputs)
+
+
+@given(aligner_inputs(with_lexicon=True))
+@settings(max_examples=400)
+def test_align_equals_reference_with_a_lexicon(inputs):
+    assert align(*inputs) == align_reference(*inputs)

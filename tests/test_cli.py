@@ -387,3 +387,68 @@ def test_parse_over_length_description_gets_empty_output(trained, tmp_path, caps
         for r, o in zip([records[0], records[2]], others):
             for key in ("objects", "attributes", "relationships"):
                 assert r[key] == o[key]
+
+
+def test_blank_graph_label_is_reported_as_empty_label(tmp_path, capsys):
+    bad = tmp_path / "el.jsonl"
+    bad.write_text('{"image_id":1,"region_id":1,"phrase":"red bus",'
+                   '"objects":[{"id":1,"label":"  "}]}\n')
+    capsys.readouterr()
+    assert run(["align", "--regions", str(bad), "--out", str(tmp_path / "t.conll")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:1: EmptyLabel: " in err and "'  '" in err
+    assert "EmptyDescription" not in err
+
+
+@pytest.mark.parametrize("command", ["convert", "train"])
+def test_malformed_conll_error_names_the_file(aligned, tmp_path, capsys, command):
+    regions_file, _ = aligned
+    bad = tmp_path / "b.conll"
+    bad.write_text("1\tred\t2\tATTR\tATTR\n2\tbus\t0\t_\tSUBJ\n3\tx\n")
+    argv = {
+        "convert": ["convert", "--in", str(bad), "--out", str(tmp_path / "g.jsonl")],
+        "train": ["train", "--conll", str(bad), "--regions", regions_file,
+                  "--out", str(tmp_path / "ckpt")],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        f"sgforge: {bad}: line 3: expected 5 tab-separated columns, got 2\n")
+
+
+def test_train_negative_seed_is_usage_error(tmp_path, capsys):
+    # no file named here exists: the flag is rejected before any is read
+    cfg = str(tmp_path / "cfg.json")
+    code = run(["train", "--conll", str(tmp_path / "t.conll"),
+                "--regions", str(tmp_path / "r.jsonl"), "--train-config", cfg,
+                "--seed", "-1", "--out", str(tmp_path / "ckpt")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "--seed" in err and cfg not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("image_id", [0, 19], ids=["train", "dev"])
+def test_train_over_length_region_exits_2_before_training(tmp_path, capsys, image_id):
+    regions_file = tmp_path / "regions.jsonl"
+    conll_file = str(tmp_path / "targets.conll")
+    model_cfg = tmp_path / "model.json"
+    model_cfg.write_text(json.dumps({"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 16,
+                                     "max_len": 16, "d_qk": 8}))
+    assert run(["gen", "--n", "20", "--seed", "3", "--out", str(regions_file)]) == 0
+    long_region = {"image_id": image_id, "region_id": 77, "phrase": " ".join(["red"] * 19 + ["bus"]),
+                   "objects": [{"id": 1, "label": "bus"}], "attributes": [[1, "red"]]}
+    with open(regions_file, "a") as f:
+        f.write(json.dumps(long_region) + "\n")
+    assert run(["align", "--regions", str(regions_file), "--out", conll_file]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    code = run(["train", "--conll", conll_file, "--regions", str(regions_file),
+                "--model-config", str(model_cfg), "--out", str(out_dir / "ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"sgforge: {regions_file}: region 77 has 20 tokens, "
+                            "more than max_len 16\n")
+    assert captured.out == ""  # no epoch ran
+    assert list(out_dir.iterdir()) == []

@@ -1,12 +1,23 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgforge.errors import ParseError
-from sgforge.graph import extract_tuples
+from sgforge.graph import build_graph, canonical_words, extract_tuples
 from sgforge.tags import (
+    EMPTY_LABEL,
+    ILLEGAL_ARC,
+    NO_OBJECT,
+    PRED_DROPPED,
     ROOT,
     DROP_REASONS,
+    SAME_CYCLE,
+    SAME_TO_NONE,
+    SELF_REFERENCE,
+    SUBJ_NOT_ROOT,
+    DecodeReport,
     NodeType,
     TaggedSentence,
     TaggedToken,
@@ -258,3 +269,175 @@ def test_decode_totality_and_legality(sent):
 @given(tagged_sentences())
 def test_decode_deterministic(sent):
     assert decode_tags_to_graph(sent) == decode_tags_to_graph(sent)
+
+
+# Reference decoder: four phases, with a hand-written SAME-chain loop in the
+# first and a separate same_head lookup in the third. decode_tags_to_graph
+# must return an equal report for every sentence.
+def decode_tags_to_graph_reference(sent: TaggedSentence) -> DecodeReport:
+    """Deterministically decode a tagged sentence into a scene graph.
+
+    Four phases: resolve SAME chains into merged surface forms, create object
+    nodes for SUBJ/OBJT tokens, attach arcs that pass arc_legal against the
+    resolved parent type, then emit attribute pairs and relation triples.
+    Failures become dropped_arcs entries; decoding never raises.
+    """
+    toks = {t.index: t for t in sent}
+    t_count = len(sent)
+    dropped: list[tuple[int, str]] = []
+
+    # Phase 1: SAME resolution. Follow parent chains through SAME tokens until
+    # a non-SAME head; chains hitting ROOT, NONE, or exceeding T hops drop.
+    same_head: dict[int, int] = {}
+    for tok in sent:
+        if tok.node_type is not NodeType.SAME:
+            continue
+        if tok.parent == tok.index:
+            dropped.append((tok.index, SELF_REFERENCE))
+            continue
+        j = tok.parent
+        hops = 1
+        reason = None
+        while True:
+            if hops > t_count:
+                reason = SAME_CYCLE
+                break
+            if j == 0:
+                reason = ILLEGAL_ARC
+                break
+            target = toks[j]
+            if target.node_type is NodeType.NONE:
+                reason = SAME_TO_NONE
+                break
+            if target.node_type is not NodeType.SAME:
+                same_head[tok.index] = j
+                break
+            j = target.parent
+            hops += 1
+        if reason is not None:
+            dropped.append((tok.index, reason))
+
+    pieces: dict[int, list[int]] = {}
+    for piece, head in same_head.items():
+        pieces.setdefault(head, []).append(piece)
+    merged_phrases = tuple(
+        (head, tuple(sorted(pieces[head]))) for head in sorted(pieces)
+    )
+
+    def surface_label(index: int) -> str | None:
+        parts = sorted(pieces.get(index, []) + [index])
+        words = canonical_words(" ".join(toks[k].form for k in parts))
+        return " ".join(words) if words else None
+
+    # Phase 2: node creation. Labels must be known for every position before
+    # arcs are checked, since parents may follow their children.
+    labels: dict[int, str] = {}
+    object_ids: list[int] = []
+    for tok in sent:
+        if tok.node_type in (NodeType.NONE, NodeType.SAME):
+            continue
+        label = surface_label(tok.index)
+        if label is None:
+            dropped.append((tok.index, EMPTY_LABEL))
+            continue
+        labels[tok.index] = label
+        if tok.node_type in (NodeType.SUBJ, NodeType.OBJT):
+            object_ids.append(tok.index)
+
+    # Phase 3: arc attachment. Arcs point at the resolved head of any SAME
+    # parent; legality is checked against the head's type.
+    attached: dict[int, int] = {}  # child -> resolved parent index
+    for tok in sent:
+        kind = tok.node_type
+        if kind in (NodeType.NONE, NodeType.SAME) or tok.index not in labels:
+            continue
+        if kind is NodeType.SUBJ:
+            # The SUBJ arc carries no information beyond ROOT attachment.
+            if tok.parent == tok.index:
+                dropped.append((tok.index, SELF_REFERENCE))
+            elif tok.parent != 0:
+                dropped.append((tok.index, SUBJ_NOT_ROOT))
+            continue
+        if tok.parent == tok.index:
+            dropped.append((tok.index, SELF_REFERENCE))
+            continue
+        if tok.parent == 0:
+            dropped.append((tok.index, ILLEGAL_ARC))
+            continue
+        parent = tok.parent
+        if toks[parent].node_type is NodeType.SAME:
+            resolved = same_head.get(parent)
+            if resolved is None:
+                dropped.append((tok.index, ILLEGAL_ARC))
+                continue
+            parent = resolved
+        if parent not in labels or not arc_legal(kind, toks[parent].node_type):
+            dropped.append((tok.index, ILLEGAL_ARC))
+            continue
+        attached[tok.index] = parent
+
+    # Phase 4: emission. Attributes need a surviving object parent; relations
+    # need the full OBJT -> PRED -> SUBJ spine.
+    attributes: list[tuple[int, str]] = []
+    relations: list[tuple[int, str, int]] = []
+    preds_with_child: set[int] = set()
+    for tok in sent:
+        i = tok.index
+        if tok.node_type is NodeType.ATTR and i in attached:
+            attributes.append((attached[i], labels[i]))
+        elif tok.node_type is NodeType.OBJT and i in attached:
+            pred = attached[i]
+            subj = attached.get(pred)
+            if subj is None:
+                dropped.append((i, PRED_DROPPED))
+            else:
+                relations.append((subj, labels[pred], i))
+                preds_with_child.add(pred)
+    for tok in sent:
+        if (
+            tok.node_type is NodeType.PRED
+            and tok.index in attached
+            and tok.index not in preds_with_child
+        ):
+            dropped.append((tok.index, NO_OBJECT))
+
+    graph = build_graph(
+        [(i, labels[i]) for i in object_ids],
+        attributes,
+        relations,
+    )
+    return DecodeReport(graph, tuple(sorted(dropped)), merged_phrases)
+
+
+def all_sentences(max_tokens, forms):
+    """Every tagged sentence of up to max_tokens tokens over these forms."""
+    for n in range(max_tokens + 1):
+        row = list(itertools.product(forms, NodeType, range(n + 1)))
+        for rows in itertools.product(row, repeat=n):
+            yield tagged(list(rows))
+
+
+def test_decode_equals_reference_on_every_small_sentence():
+    # forms "a" up to 3 tokens, plus a blank form (empty labels) up to 2
+    sentences = itertools.chain(all_sentences(3, ["a"]), all_sentences(2, ["a", " "]))
+    count = 0
+    for sent in sentences:
+        assert decode_tags_to_graph(sent) == decode_tags_to_graph_reference(sent), sent
+        count += 1
+    assert count == 15482
+
+
+@st.composite
+def chain_heavy_sentences(draw, max_len=12):
+    # SAME is drawn as often as all other types together, so long SAME
+    # chains, cycles and chains ending at ROOT or NONE are common
+    n = draw(st.integers(0, max_len))
+    kinds = st.one_of(st.just(NodeType.SAME), st.sampled_from(list(NodeType)))
+    return tagged([(draw(st.sampled_from(["a", "b", " "])), draw(kinds), draw(st.integers(0, n)))
+                   for _ in range(n)])
+
+
+@given(chain_heavy_sentences())
+@settings(max_examples=500)
+def test_decode_equals_reference_on_random_sentences(sent):
+    assert decode_tags_to_graph(sent) == decode_tags_to_graph_reference(sent)
