@@ -26,6 +26,7 @@ class Lexicon:
     """Symmetric synonym table. Every label is a synonym of itself."""
 
     _table: dict[str, frozenset[str]] = field(default_factory=dict)
+    _candidates: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, mapping: dict[str, list[str]]) -> "Lexicon":
@@ -53,6 +54,16 @@ class Lexicon:
     def match(self, a: str, b: str) -> bool:
         return a == b or b in self._table.get(a, frozenset())
 
+    def candidates(self, label: str) -> tuple[tuple[str, ...], ...]:
+        """The label and its synonyms as word tuples, longest first, then
+        lexicographically. Computed once per label."""
+        cands = self._candidates.get(label)
+        if cands is None:
+            cands = self._candidates[label] = tuple(sorted(
+                (tuple(syn.split()) for syn in self.synonyms(label)),
+                key=lambda ws: (-len(ws), ws)))
+        return cands
+
 
 EMPTY_LEXICON = Lexicon()
 
@@ -65,17 +76,25 @@ class AlignmentResult:
 
 
 def _find_span(
-    words: list[str], consumed: list[bool], candidates: list[list[str]]
+    words: tuple[str, ...], consumed: list[bool], at: dict[str, list[int]],
+    candidates: tuple[tuple[str, ...], ...],
 ) -> tuple[int, int] | None:
-    """Earliest unconsumed span matching any candidate; longer candidates first per start."""
-    for start in range(len(words)):
-        for cand in candidates:
+    """Earliest unconsumed span matching any candidate; ties go to the earlier
+    candidate. Only starts where a candidate's first word occurs are tried."""
+    best = None
+    for cand in candidates:
+        if not cand:  # an empty synonym matches before the first word
+            if words and (best is None or best[0] > 0):
+                best = (0, 0)
+            continue
+        for start in at.get(cand[0], ()):
+            if best is not None and start >= best[0]:
+                break
             end = start + len(cand)
-            if end > len(words):
-                continue
             if words[start:end] == cand and not any(consumed[start:end]):
-                return start, end
-    return None
+                best = (start, end)
+                break
+    return best
 
 
 def align(description: str, g: SceneGraph, lex: Lexicon = EMPTY_LEXICON) -> AlignmentResult:
@@ -87,16 +106,17 @@ def align(description: str, g: SceneGraph, lex: Lexicon = EMPTY_LEXICON) -> Alig
     node type; earlier span tokens are SAME pointing at the head. Fragments
     that cannot be fully encoded are excluded and reported.
     """
-    words = canonical_words(description)
+    words = tuple(canonical_words(description))
     consumed = [False] * len(words)
+    at: dict[str, list[int]] = {}  # word -> its positions, ascending
+    for i, w in enumerate(words):
+        at.setdefault(w, []).append(i)
     nodes = ([("object", o.id, o.label) for o in g.objects]
              + [("attribute", k, label) for k, (_, label) in enumerate(g.attributes)]
              + [("predicate", k, label) for k, (_, label, _) in enumerate(g.relations)])
     spans: dict[tuple[str, int], tuple[int, int]] = {}  # node key -> (start, end)
     for kind, key, label in sorted(nodes, key=lambda node: -len(node[2].split())):
-        candidates = sorted((syn.split() for syn in lex.synonyms(label)),
-                            key=lambda ws: (-len(ws), ws))
-        found = _find_span(words, consumed, candidates)
+        found = _find_span(words, consumed, at, lex.candidates(label))
         if found is not None:
             consumed[found[0]:found[1]] = [True] * (found[1] - found[0])
             spans[kind, key] = found

@@ -136,6 +136,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
+    for flag, value in (("--n", args.n), ("--seed", args.seed)):
+        if value is not None and value < 0:
+            raise _UsageError(f"{flag} must not be negative, got {value}")
     grammar = (SyntheticGrammar() if args.grammar is None
                else _load(args.grammar, SyntheticGrammar.from_json))
     regions = generate_synthetic(grammar, args.n, seed=args.seed)
@@ -267,6 +270,14 @@ def _cmd_parse(args) -> int:
     return 0
 
 
+def _missing(ids, others, others_path: str) -> str:
+    """The ids in `ids` that `others` lacks, at most 5 of them, smallest first."""
+    lacking = sorted(set(ids).difference(others))
+    more = f" and {len(lacking) - 5} more" if len(lacking) > 5 else ""
+    listed = ", ".join(map(str, lacking[:5])) or "none"
+    return f"not in {others_path}: {listed}{more}"
+
+
 def _cmd_eval(args) -> int:
     pred_regions = _load_regions(args.pred)
     ref_regions = _load_regions(args.ref)
@@ -278,8 +289,10 @@ def _cmd_eval(args) -> int:
             seen.add(r.region_id)
     pred_by_id = {r.region_id: r for r in pred_regions}
     ref_ids = [r.region_id for r in ref_regions]
-    if sorted(pred_by_id) != sorted(ref_ids):
-        raise IdMismatchError("prediction and reference region ids differ")
+    if pred_by_id.keys() != set(ref_ids):
+        raise IdMismatchError(f"prediction {args.pred} and reference {args.ref} region ids "
+                              f"differ: {_missing(pred_by_id, ref_ids, args.ref)}; "
+                              f"{_missing(ref_ids, pred_by_id, args.pred)}")
     lex = _load_lexicon(args.lexicon)
     aggregate, rows = evaluate_corpus(
         [pred_by_id[rid].graph for rid in ref_ids],

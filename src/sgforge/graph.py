@@ -8,6 +8,7 @@ triples. Tuple extraction flattens a graph to label-level tuples for scoring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DanglingReferenceError, EmptyLabelError
@@ -18,10 +19,12 @@ def canonical_words(text: str) -> list[str]:
     return text.lower().split()
 
 
+@lru_cache(maxsize=4096)
 def canonicalize_label(raw: str) -> str:
     """Normalize a label: lowercase, collapse whitespace runs, trim.
 
-    Raises EmptyLabelError if nothing remains.
+    Raises EmptyLabelError if nothing remains. Memoized: a corpus repeats a
+    small set of labels.
     """
     words = canonical_words(raw)
     if not words:

@@ -195,19 +195,21 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
 _NAME_TO_TYPE = {t.name: t for t in NodeType}
 
 
-def _row(tok: TaggedToken) -> str:
-    if tok.node_type is NodeType.NONE:
-        return f"{tok.index}\t{tok.form}\t_\t_\t_"
-    arc = tok.node_type.name if tok.node_type in (NodeType.ATTR, NodeType.SAME) else "_"
-    return f"{tok.index}\t{tok.form}\t{tok.parent}\t{arc}\t{tok.node_type.name}"
+# node type -> a row's columns after FORM but for HEAD: NONE rows have no
+# HEAD, and only ATTR and SAME rows carry an ARC_LABEL
+_ROW_TAIL = {t: f"\t{t.name if t in (NodeType.ATTR, NodeType.SAME) else '_'}\t{t.name}\n"
+             for t in NodeType}
+_ROW_TAIL[NodeType.NONE] = "\t_\t_\n"
 
 
 def write_conll(sentences: list[TaggedSentence]) -> str:
     """Serialize sentences; each sentence's rows are followed by one blank line."""
-    chunks = []
-    for sent in sentences:
-        chunks.append("".join(_row(tok) + "\n" for tok in sent) + "\n")
-    return "".join(chunks)
+    tail = _ROW_TAIL
+    none = NodeType.NONE
+    return "".join(
+        "".join(f"{t.index}\t{t.form}\t{'_' if t.node_type is none else t.parent}"
+                f"{tail[t.node_type]}" for t in sent) + "\n"
+        for sent in sentences)
 
 
 def read_conll(text: str) -> list[TaggedSentence]:

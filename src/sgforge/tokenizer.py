@@ -105,6 +105,7 @@ class Tokenizer:
     merges: tuple[tuple[str, str], ...] = ()
     _ids: dict = field(default_factory=dict, repr=False, compare=False)
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)
+    _pieces: dict = field(default_factory=dict, repr=False, compare=False)  # word -> ids
 
     def __post_init__(self):
         if self.mode not in ("word", "bpe"):
@@ -129,8 +130,11 @@ class Tokenizer:
                 heads.append(len(ids) - 1)
         else:
             for w in words:
-                for piece in apply_bpe(w, self._ranks):
-                    ids.append(self._id(piece))
+                pieces = self._pieces.get(w)
+                if pieces is None:
+                    pieces = self._pieces[w] = tuple(
+                        self._id(piece) for piece in apply_bpe(w, self._ranks))
+                ids.extend(pieces)
                 heads.append(len(ids) - 1)
         return TokenSequence(tuple(ids), tuple(heads))
 

@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -5,7 +7,6 @@ from sgforge.align import (
     EMPTY_LEXICON,
     AlignmentResult,
     Lexicon,
-    _find_span,
     align,
     useful_word_count,
 )
@@ -140,8 +141,33 @@ def test_lexicon_symmetric_closure():
     assert lex.synonyms("dog") == {"dog"}
 
 
-# Reference aligner: an index sort, explicit loops and a twice-run "all three
-# spans matched" test. align must return an equal result for every input.
+def test_lexicon_candidates_longest_first_then_lexicographic():
+    lex = Lexicon.from_pairs({"cat": ["small cat", "feline", "a b c"]})
+    expected = (("a", "b", "c"), ("small", "cat"), ("cat",), ("feline",))
+    assert lex.candidates("cat") == expected
+    assert lex.candidates("cat") is lex.candidates("cat")  # computed once
+    assert lex.candidates("dog") == (("dog",),)
+    assert lex == Lexicon.from_pairs({"cat": ["small cat", "feline", "a b c"]})
+
+
+# Reference aligner: an index sort, explicit loops, a twice-run "all three
+# spans matched" test, and a span search that tries every start for every
+# candidate, re-sorting the candidates at every node. align must return an
+# equal result for every input.
+def _find_span(
+    words: list[str], consumed: list[bool], candidates: list[list[str]]
+) -> tuple[int, int] | None:
+    """Earliest unconsumed span matching any candidate; longer candidates first per start."""
+    for start in range(len(words)):
+        for cand in candidates:
+            end = start + len(cand)
+            if end > len(words):
+                continue
+            if words[start:end] == cand and not any(consumed[start:end]):
+                return start, end
+    return None
+
+
 def align_reference(description: str, g: SceneGraph, lex: Lexicon = EMPTY_LEXICON) -> AlignmentResult:
     """Align a ground-truth graph to its description, producing tagging targets.
 
@@ -303,3 +329,30 @@ def test_align_equals_reference_on_random_graphs(inputs):
 @settings(max_examples=400)
 def test_align_equals_reference_with_a_lexicon(inputs):
     assert align(*inputs) == align_reference(*inputs)
+
+
+# Every graph of one or two nodes over LABELS: one object, two objects, an
+# object with an attribute, and an object related to itself.
+SMALL_GRAPHS = (
+    [build_graph([(1, x)]) for x in LABELS]
+    + [build_graph([(1, x), (2, y)]) for x, y in itertools.product(LABELS, repeat=2)]
+    + [build_graph([(1, x)], [(1, y)]) for x, y in itertools.product(LABELS, repeat=2)]
+    + [build_graph([(1, x)], [], [(1, y, 1)]) for x, y in itertools.product(LABELS, repeat=2)]
+)
+# Synonyms of every length from 0 to 2 words, ties between equal lengths, a
+# candidate that is a prefix of a longer one ("a" of "a b"), and "B", which no
+# lowercased description word can equal.
+FIXED_LEXICON = Lexicon.from_pairs({"a": ["b c", "B", ""], "b": ["c a"], "a b": ["c", "a"]})
+
+
+def test_align_equals_reference_on_every_small_input():
+    descriptions = [" ".join(ws) for n in range(5)
+                    for ws in itertools.product(["a", "b", "c", "B"], repeat=n)]
+    cases = 0
+    for lex in (EMPTY_LEXICON, FIXED_LEXICON):
+        for g in SMALL_GRAPHS:
+            for description in descriptions:
+                assert align(description, g, lex) == align_reference(description, g, lex), (
+                    description, g, lex)
+                cases += 1
+    assert cases == 2 * 154 * 341

@@ -95,6 +95,29 @@ def test_eval_id_mismatch_is_data_error(tmp_path):
     assert proc.returncode == 2
 
 
+def test_eval_id_mismatch_names_both_files_and_missing_ids(tmp_path, capsys):
+    a = str(tmp_path / "a.jsonl")
+    b = str(tmp_path / "b.jsonl")
+    run(["gen", "--n", "3", "--seed", "1", "--out", a])
+    run(["gen", "--n", "10", "--seed", "1", "--out", b])
+    capsys.readouterr()
+    assert run(["eval", "--pred", a, "--ref", b]) == 2
+    assert capsys.readouterr().err == (
+        f"sgforge: prediction {a} and reference {b} region ids differ: "
+        f"not in {b}: none; not in {a}: 3, 4, 5, 6, 7 and 2 more\n")
+    assert run(["eval", "--pred", b, "--ref", a]) == 2
+    assert f"not in {a}: 3, 4, 5, 6, 7 and 2 more; not in {b}: none" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, argv", [("--n", ["--n", "-1"]),
+                                        ("--seed", ["--n", "2", "--seed", "-1"])])
+def test_gen_negative_count_or_seed_is_usage_error(tmp_path, capsys, flag, argv):
+    out = tmp_path / "r.jsonl"
+    assert run(["gen", *argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"sgforge: {flag} must not be negative, got -1\n"
+    assert not out.exists()
+
+
 def test_eval_malformed_regions_is_data_error(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"image_id": 1}\n')

@@ -236,6 +236,30 @@ def test_conll_multi_sentence_roundtrip(sents):
     assert read_conll(write_conll(normalized)) == normalized
 
 
+# Reference writer: one `_row` call and two `Enum.name` lookups per token.
+# write_conll must return the same text.
+def _row(tok: TaggedToken) -> str:
+    if tok.node_type is NodeType.NONE:
+        return f"{tok.index}\t{tok.form}\t_\t_\t_"
+    arc = tok.node_type.name if tok.node_type in (NodeType.ATTR, NodeType.SAME) else "_"
+    return f"{tok.index}\t{tok.form}\t{tok.parent}\t{arc}\t{tok.node_type.name}"
+
+
+def write_conll_reference(sentences):
+    """Serialize sentences; each sentence's rows are followed by one blank line."""
+    chunks = []
+    for sent in sentences:
+        chunks.append("".join(_row(tok) + "\n" for tok in sent) + "\n")
+    return "".join(chunks)
+
+
+# Parents are not normalized here: NONE rows must drop them on write
+@given(st.lists(tagged_sentences(), max_size=5))
+@settings(max_examples=300)
+def test_write_conll_equals_reference(sents):
+    assert write_conll(sents) == write_conll_reference(sents)
+
+
 def surface(sent, report, index):
     pieces = dict(report.merged_phrases).get(index, ())
     forms = {t.index: t.form for t in sent}

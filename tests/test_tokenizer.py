@@ -1,4 +1,6 @@
+import sys
 from collections import Counter
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,14 @@ from sgforge.graph import canonical_words
 from sgforge.tokenizer import (
     ROOT_ID,
     UNK_ID,
+    TokenSequence,
     Tokenizer,
     apply_bpe,
     learn_bpe,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import corpora  # noqa: E402
 
 
 def test_word_mode_encode():
@@ -63,19 +69,35 @@ def test_learn_bpe_learns_frequent_pairs():
     assert apply_bpe("bus", ranks) == ["bus"]
 
 
+def encode_reference(tok, text):
+    """BPE encode with no memo and a rank table built per call."""
+    ranks = {pair: i for i, pair in enumerate(tok.merges)}
+    ids = [ROOT_ID]
+    heads = []
+    for w in canonical_words(text):
+        ids.extend(tok._id(p) for p in apply_bpe(w, ranks))
+        heads.append(len(ids) - 1)
+    return TokenSequence(tuple(ids), tuple(heads))
+
+
 def test_bpe_encode_matches_ranks_built_per_call():
     # encode uses the rank table built once at construction; it must give the
     # same pieces as applying the merges afresh
     corpus = ["blue bus", "red bus on road", "bluebird", "buses and roads"]
     tok = Tokenizer.from_corpus(corpus, mode="bpe", n_merges=12)
-    ranks = {pair: i for i, pair in enumerate(tok.merges)}
     for text in corpus + ["unseen rebus", ""]:
-        seq = tok.encode(text)
-        expected_ids = [ROOT_ID]
-        for w in text.split():
-            expected_ids.extend(tok._id(p) for p in apply_bpe(w, ranks))
-        assert list(seq.ids) == expected_ids
+        assert tok.encode(text) == encode_reference(tok, text)
     assert tok.encode("blue bus") == tok.encode("blue bus")
+
+
+def test_bpe_encode_memo_equals_uncached_on_long_corpus():
+    # the bench's long corpus: BPE learned on the training part, then every
+    # description encoded on a cold memo and again on a warm one
+    records = corpora.long_corpus(1, 600, 300)
+    tok = Tokenizer.from_corpus([r["phrase"] for r in records[:300]], mode="bpe")
+    expected = [encode_reference(tok, r["phrase"]) for r in records]
+    for _ in range(2):
+        assert [tok.encode(r["phrase"]) for r in records] == expected
 
 
 def learn_bpe_full_recount(words, n_merges):
