@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graph import SceneGraph, canonical_words
+from .graph import SceneGraph, canonical_words, canonicalize_label
 from .tags import NodeType, TaggedSentence, TaggedToken
 
 STOPWORDS = frozenset({"a", "an", "the", "and"})
@@ -23,16 +23,18 @@ def useful_word_count(description: str) -> int:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Symmetric synonym table. Every label is a synonym of itself."""
+    """Symmetric synonym table of canonical labels; every label is a synonym of itself."""
 
     _table: dict[str, frozenset[str]] = field(default_factory=dict)
     _candidates: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_pairs(cls, mapping: dict[str, list[str]]) -> "Lexicon":
+        """Raises EmptyLabelError for a blank label or synonym."""
         table: dict[str, set[str]] = {}
         for label, syns in mapping.items():
-            for syn in syns:
+            label = canonicalize_label(label)
+            for syn in map(canonicalize_label, syns):
                 table.setdefault(label, set()).add(syn)
                 table.setdefault(syn, set()).add(label)  # symmetric closure
         return cls({k: frozenset(v) for k, v in table.items()})
@@ -83,10 +85,6 @@ def _find_span(
     candidate. Only starts where a candidate's first word occurs are tried."""
     best = None
     for cand in candidates:
-        if not cand:  # an empty synonym matches before the first word
-            if words and (best is None or best[0] > 0):
-                best = (0, 0)
-            continue
         for start in at.get(cand[0], ()):
             if best is not None and start >= best[0]:
                 break

@@ -22,7 +22,7 @@ from .data import (
     split,
     write_regions,
 )
-from .errors import ConfigError, IdMismatchError, ParseError, SequenceTooLongError, SgforgeError
+from .errors import ConfigError, IdMismatchError, SequenceTooLongError, SgforgeError
 from .graph import canonical_words
 from .metrics import evaluate_corpus
 from .model import ModelConfig, predict
@@ -63,7 +63,7 @@ def _load(path: str, parse):
     """parse(text of the file); a value it rejects is a data error naming the file."""
     try:
         return parse(_read(path))
-    except ParseError as e:
+    except SgforgeError as e:  # a CONLL line, a blank lexicon label
         raise SgforgeError(f"{path}: {e}") from None
     except KeyError as e:
         raise ConfigError(f"{path}: missing field {e}") from None

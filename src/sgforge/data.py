@@ -19,6 +19,17 @@ from .graph import SceneGraph, build_graph, graph_from_dict, graph_to_dict
 _BLANK_PHRASE = "empty region description"
 
 
+def _object_with_keys(text: str, kind: str, keys: tuple[str, ...]) -> dict:
+    """Parse a JSON object that may hold only the given keys."""
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise TypeError(f"a {kind} must be a JSON object")
+    unknown = set(d) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
+    return d
+
+
 @dataclass(frozen=True)
 class Region:
     image_id: int
@@ -39,7 +50,7 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
-        d = json.loads(text)
+        d = _object_with_keys(text, "split spec", ("train_image_ids", "eval_image_ids"))
         return cls(frozenset(d["train_image_ids"]), frozenset(d["eval_image_ids"]))
 
 
@@ -124,9 +135,8 @@ class SyntheticGrammar:
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticGrammar":
-        d = json.loads(text)
-        if not isinstance(d, dict):
-            raise TypeError("a grammar must be a JSON object")
+        d = _object_with_keys(text, "grammar", (
+            "objects", "attributes", "relations", "pattern_weights", "seed"))
         lists = [d.get(key, default) for key, default in (
             ("objects", DEFAULT_OBJECTS), ("attributes", DEFAULT_ATTRIBUTES),
             ("relations", DEFAULT_RELATIONS), ("pattern_weights", (1.0, 1.0, 1.0, 1.0)))]

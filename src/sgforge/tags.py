@@ -190,16 +190,13 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
 
 
 # CONLL layout: INDEX, FORM, HEAD, ARC_LABEL, NODE_TYPE, tab-separated.
-# ARC_LABEL duplicates NODE_TYPE on ATTR/SAME rows and is "_" otherwise.
-
-_NAME_TO_TYPE = {t.name: t for t in NodeType}
-
-
 # node type -> a row's columns after FORM but for HEAD: NONE rows have no
 # HEAD, and only ATTR and SAME rows carry an ARC_LABEL
 _ROW_TAIL = {t: f"\t{t.name if t in (NodeType.ATTR, NodeType.SAME) else '_'}\t{t.name}\n"
              for t in NodeType}
 _ROW_TAIL[NodeType.NONE] = "\t_\t_\n"
+# (ARC_LABEL, NODE_TYPE) -> node type: the reader accepts only the writer's pairs
+_TYPE_OF_TAIL = {tuple(tail.split()): t for t, tail in _ROW_TAIL.items()}
 
 
 def write_conll(sentences: list[TaggedSentence]) -> str:
@@ -213,10 +210,12 @@ def write_conll(sentences: list[TaggedSentence]) -> str:
 
 
 def read_conll(text: str) -> list[TaggedSentence]:
-    """Parse CONLL text. Raises ParseError with the offending line number."""
+    """Parse CONLL text whose ARC_LABEL and NODE_TYPE columns, and NONE rows'
+    HEAD, are spelled as write_conll writes them. Raises ParseError with the
+    offending line number."""
     sentences: list[TaggedSentence] = []
-    # (line number, index, form, node type, raw head); raw head is validated
-    # against T before NONE parents are normalized to 0
+    # (line number, index, form, node type, parent); the parent is checked
+    # against T once the sentence ends
     rows: list[tuple[int, int, str, NodeType, int]] = []
 
     def flush():
@@ -224,10 +223,9 @@ def read_conll(text: str) -> list[TaggedSentence]:
             return
         t = len(rows)
         toks = []
-        for line_no, index, form, node_type, head in rows:
-            if head > t:
-                raise ParseError(line_no, f"HEAD {head} exceeds sentence length {t}")
-            parent = 0 if node_type is NodeType.NONE else head
+        for line_no, index, form, node_type, parent in rows:
+            if parent > t:
+                raise ParseError(line_no, f"HEAD {parent} exceeds sentence length {t}")
             toks.append(TaggedToken(index, form, node_type, parent))
         sentences.append(TaggedSentence(tuple(toks)))
         rows.clear()
@@ -248,16 +246,16 @@ def read_conll(text: str) -> list[TaggedSentence]:
             raise ParseError(line_no, f"non-contiguous INDEX {index}, expected {len(rows) + 1}")
         if not form:
             raise ParseError(line_no, "empty FORM")
-        if type_s == "_" or type_s == "NONE":
-            node_type = NodeType.NONE
-        elif type_s in _NAME_TO_TYPE:
-            node_type = _NAME_TO_TYPE[type_s]
-        else:
-            raise ParseError(line_no, f"unknown NODE_TYPE {type_s!r}")
-        if head_s == "_":
-            if node_type is not NodeType.NONE:
-                raise ParseError(line_no, f"missing HEAD for node type {node_type.name}")
+        node_type = _TYPE_OF_TAIL.get((arc_s, type_s))
+        if node_type is None:
+            raise ParseError(line_no, f"ARC_LABEL {arc_s!r} and NODE_TYPE {type_s!r} match no "
+                             "node type")
+        if node_type is NodeType.NONE:
+            if head_s != "_":
+                raise ParseError(line_no, f"HEAD {head_s!r} on a NONE row, which takes '_'")
             parent = 0
+        elif head_s == "_":
+            raise ParseError(line_no, f"missing HEAD for node type {type_s}")
         else:
             try:
                 parent = int(head_s)
@@ -265,9 +263,6 @@ def read_conll(text: str) -> list[TaggedSentence]:
                 raise ParseError(line_no, f"bad HEAD {head_s!r}") from None
             if parent < 0:
                 raise ParseError(line_no, f"negative HEAD {parent}")
-        expected_arc = node_type.name if node_type in (NodeType.ATTR, NodeType.SAME) else "_"
-        if arc_s != expected_arc:
-            raise ParseError(line_no, f"ARC_LABEL {arc_s!r} inconsistent with {type_s!r}")
         rows.append((line_no, index, form, node_type, parent))
     flush()
     return sentences

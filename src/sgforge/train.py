@@ -38,21 +38,20 @@ from .tags import NodeType, TaggedSentence, decode_tags_to_graph
 from .tokenizer import Tokenizer, TokenSequence
 
 
+# Adam's published defaults (Kingma & Ba 2015)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3  # full-scale runs use 6.25e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     epochs: int = 4
     batch_size: int = 32
     seed: int = 0
-    lambda_mode: str = "auto"  # "auto" or "fixed"
-    lambda_value: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.adam_beta1 < 1.0 or not 0.0 < self.adam_beta2 < 1.0:
-            raise ValueError("adam_beta1 and adam_beta2 must lie in (0, 1)")
         if self.learning_rate <= 0.0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:  # also the inference chunk size
@@ -61,8 +60,6 @@ class TrainConfig:
             raise ValueError("epochs must not be negative")
         if self.seed < 0:
             raise ValueError("seed must not be negative")
-        if self.lambda_mode not in ("auto", "fixed"):
-            raise ValueError(f"lambda_mode must be 'auto' or 'fixed', got {self.lambda_mode!r}")
 
 
 @dataclass
@@ -82,7 +79,7 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
         raise ShapeMismatchError("parameter and gradient names differ")
     state.step += 1
     t = state.step
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = _BETA1, _BETA2
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -103,7 +100,7 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
         step *= cfg.learning_rate
         denom = v / (1.0 - b2**t)  # v_hat
         np.sqrt(denom, out=denom)
-        denom += cfg.adam_epsilon
+        denom += _EPSILON
         step /= denom
         p -= step
 
@@ -158,7 +155,7 @@ class Checkpoint:
 
 
 _CHECKPOINT_FORMAT = "sgforge-checkpoint"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = 3
 _MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "step",
                   "metrics", "tensors")
 
@@ -332,10 +329,7 @@ def train(
                 f"example {k} (train examples first, then dev) has {n} tokens, more than "
                 f"max_len {model_cfg.max_len}", position=k, tokens=n)
 
-    if train_cfg.lambda_mode == "fixed":
-        loss_weight = train_cfg.lambda_value
-    else:
-        loss_weight = calibrate_lambda(params, model_cfg, train_enc[: train_cfg.batch_size])
+    loss_weight = calibrate_lambda(params, model_cfg, train_enc[: train_cfg.batch_size])
 
     state = AdamState()
     log: list[dict] = []

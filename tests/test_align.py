@@ -339,10 +339,9 @@ SMALL_GRAPHS = (
     + [build_graph([(1, x)], [(1, y)]) for x, y in itertools.product(LABELS, repeat=2)]
     + [build_graph([(1, x)], [], [(1, y, 1)]) for x, y in itertools.product(LABELS, repeat=2)]
 )
-# Synonyms of every length from 0 to 2 words, ties between equal lengths, a
-# candidate that is a prefix of a longer one ("a" of "a b"), and "B", which no
-# lowercased description word can equal.
-FIXED_LEXICON = Lexicon.from_pairs({"a": ["b c", "B", ""], "b": ["c a"], "a b": ["c", "a"]})
+# Synonyms of 1 and 2 words, ties between equal lengths, a candidate that is a
+# prefix of a longer one ("a" of "a b"), and "B", which canonicalizes to "b".
+FIXED_LEXICON = Lexicon.from_pairs({"a": ["b c", "B"], "b": ["c a"], "a b": ["c", "a"]})
 
 
 def test_align_equals_reference_on_every_small_input():

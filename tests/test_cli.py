@@ -295,6 +295,9 @@ def aligned(tmp_path_factory):
     ("--model-config", {"loss_weight": 5.0}, "loss_weight"),
     ("--model-config", {"n_classes": 6}, "n_classes"),
     ("--model-config", {"vocab_size": 3}, "vocab_size"),
+    ("--train-config", {"lambda_mode": "fixed"}, "lambda_mode"),  # a removed key
+    ("--split", {"train_image_ids": [0, 1], "eval_image_ids": [2], "holdout_ids": [3]},
+     "unknown split spec keys: ['holdout_ids']"),
 ])
 def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config, field):
     regions_file, conll_file = aligned
@@ -344,6 +347,8 @@ def test_train_dev_frac_outside_unit_interval_is_usage_error(aligned, tmp_path, 
     ("--lexicon", "align", '{"a": "bc"}'),
     ("--lexicon", "eval", '{"a": [1]}'),
     ("--lexicon", "eval", "{"),
+    ("--lexicon", "align", '{"car": [""]}'),
+    ("--lexicon", "eval", '{" ": ["car"]}'),
     ("--grammar", "gen", "[]"),
     ("--grammar", "gen", '{"objects": 5}'),
     ("--grammar", "gen", '{"objects": []}'),
@@ -365,6 +370,44 @@ def test_bad_lexicon_or_grammar_is_data_error(aligned, tmp_path, capsys, flag, c
     capsys.readouterr()
     assert run(argv + [flag, str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def test_unknown_grammar_key_is_data_error(tmp_path, capsys):
+    grammar = tmp_path / "grammar.json"
+    grammar.write_text(json.dumps({"objectz": ["ship"], "seed": 3}))
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert run(["gen", "--grammar", str(grammar), "--n", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"sgforge: {grammar}: unknown grammar keys: ['objectz']\n"
+    assert not out.exists()
+
+
+def _one_object_region(path, phrase, label):
+    path.write_text(json.dumps({"image_id": 1, "region_id": 1, "phrase": phrase,
+                                "objects": [{"id": 1, "label": label}]}) + "\n")
+    return str(path)
+
+
+def test_lexicon_synonyms_are_canonicalized_in_align(tmp_path, capsys):
+    regions = _one_object_region(tmp_path / "r.jsonl", "a feline", "cat")
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps({"cat": ["Feline"]}))
+    conll = tmp_path / "t.conll"
+    capsys.readouterr()
+    assert run(["align", "--regions", regions, "--lexicon", str(lex), "--out", str(conll)]) == 0
+    assert json.loads(capsys.readouterr().out)["mean_coverage"] == 1.0
+    assert conll.read_text() == "1\ta\t_\t_\t_\n2\tfeline\t0\t_\tSUBJ\n\n"
+
+
+def test_lexicon_synonyms_are_canonicalized_in_eval(tmp_path, capsys):
+    pred = _one_object_region(tmp_path / "p.jsonl", "feline cat", "feline cat")
+    ref = _one_object_region(tmp_path / "r.jsonl", "cat", "cat")
+    lex = tmp_path / "lex.json"
+    lex.write_text(json.dumps({"cat": ["feline  cat"]}))
+    capsys.readouterr()
+    assert run(["eval", "--pred", pred, "--ref", ref, "--lexicon", str(lex),
+                "--out", str(tmp_path / "report.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"aggregate_f": 1.0}
 
 
 def test_non_utf8_input_is_data_error(aligned, tmp_path, capsys):

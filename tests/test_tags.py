@@ -170,9 +170,21 @@ def test_read_conll_empty():
 
 
 def test_read_conll_head_out_of_range():
-    bad = "1\tblue\t4\tATTR\tATTR\n2\tand\t9\t_\t_\n3\tred\t4\tATTR\tATTR\n4\tbus\t0\t_\tSUBJ\n"
-    with pytest.raises(ParseError) as exc:
+    bad = "1\tblue\t4\tATTR\tATTR\n2\tand\t_\t_\t_\n3\tred\t9\tATTR\tATTR\n4\tbus\t0\t_\tSUBJ\n"
+    with pytest.raises(ParseError, match="HEAD 9 exceeds sentence length 4") as exc:
         read_conll(bad)
+    assert exc.value.line == 3
+
+
+# write_conll spells a NONE row with "_" in HEAD, ARC_LABEL and NODE_TYPE, and
+# read_conll takes no other spelling
+@pytest.mark.parametrize("row, needle", [
+    ("2\tdog\t_\t_\tNONE", "NODE_TYPE 'NONE'"),
+    ("2\tdog\t1\t_\t_", "HEAD '1' on a NONE row"),
+], ids=["none_spelled_out", "head_on_none_row"])
+def test_read_conll_rejects_other_none_row_spellings(row, needle):
+    with pytest.raises(ParseError, match=needle) as exc:
+        read_conll(f"1\tcat\t0\t_\tSUBJ\n{row}\n")
     assert exc.value.line == 2
 
 

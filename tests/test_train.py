@@ -80,7 +80,7 @@ def test_adam_many_steps_match_reference():
 def adam_formula(params, grads_seq, cfg):
     """Adam written as the textbook formula, allocating freely: the reference
     that the in-place adam_step must match bit for bit."""
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = 0.9, 0.999
     params = {k: p.copy() for k, p in params.items()}
     m = {k: np.zeros_like(p) for k, p in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
@@ -90,7 +90,7 @@ def adam_formula(params, grads_seq, cfg):
             v[k] = v[k] * b2 + (1.0 - b2) * g * g
             m_hat = m[k] / (1.0 - b1**t)
             v_hat = v[k] / (1.0 - b2**t)
-            params[k] = params[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+            params[k] = params[k] - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
     return params, m, v
 
 
@@ -127,11 +127,7 @@ def test_adam_shape_mismatch():
 
 def test_train_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(adam_beta1=1.0)
-    with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(lambda_mode="sometimes")
     with pytest.raises(ValueError, match="batch_size"):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError, match="epochs"):
@@ -327,6 +323,7 @@ def _grow_pos_emb(m):
 @pytest.mark.parametrize("edit, needle", [
     (lambda m: m.update(format="other"), "format"),
     (lambda m: m.update(version=1), "version"),
+    (lambda m: m.update(version=2), "version 2"),
     (lambda m: m.pop("tensors"), "tensors"),
     (lambda m: m.pop("tokenizer"), "tokenizer"),
     (lambda m: m["train_config"].update(batch_size=0), "batch_size"),
