@@ -131,6 +131,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("convert", help="decode a CONLL file into graph JSONL")
     p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--regions", help="regions JSONL, one record per CONLL sentence; phrases "
+                   "and ids are carried through")
     p.add_argument("--out", required=True)
     return parser
 
@@ -312,9 +314,17 @@ def _cmd_eval(args) -> int:
 
 def _cmd_convert(args) -> int:
     sentences = _load(args.infile, read_conll)
+    if args.regions is None:  # regions are numbered 0, 1, ... in file order
+        items = [(i, i, " ".join(tok.form for tok in sent)) for i, sent in enumerate(sentences)]
+    else:
+        source = _load_regions(args.regions)
+        if len(source) != len(sentences):
+            raise IdMismatchError(f"{args.infile} has {len(sentences)} CONLL sentences but "
+                                  f"{args.regions} has {len(source)} regions")
+        items = [(r.image_id, r.region_id, r.description) for r in source]
     regions = [
-        Region(i, i, " ".join(tok.form for tok in sent), decode_tags_to_graph(sent).graph)
-        for i, sent in enumerate(sentences)
+        Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
+        for (image_id, region_id, desc), sent in zip(items, sentences)
     ]
     _write(args.out, write_regions(regions))
     return 0

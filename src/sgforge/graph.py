@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DanglingReferenceError, EmptyLabelError
 
@@ -32,8 +32,7 @@ def canonicalize_label(raw: str) -> str:
     return " ".join(words)
 
 
-@dataclass(frozen=True)
-class ObjectInstance:
+class ObjectInstance(NamedTuple):
     """One mention of an object. Two instances may share a label."""
 
     id: int

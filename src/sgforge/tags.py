@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from sys import intern
+from typing import NamedTuple
 
 from .errors import ParseError
 from .graph import SceneGraph, build_graph, canonical_words
@@ -47,8 +49,7 @@ def arc_legal(child: NodeType, parent_kind) -> bool:
     return parent_kind in _LEGAL_PARENTS[child]
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     index: int  # 1-based sentence position
     form: str
     node_type: NodeType
@@ -122,28 +123,24 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
     A token is dropped for at most one reason, the first it meets in that
     order, and each drop becomes a dropped_arcs entry; decoding never raises.
     """
-    forms = {t.index: t.form for t in sent}
-    kinds = {t.index: t.node_type for t in sent}
-    parents = {t.index: t.parent for t in sent}
+    toks = sent.tokens
+    # columns indexed by token position; position 0 stands for ROOT
+    _, forms, kinds, parents = zip((0, ROOT, ROOT, 0), *toks)
+    same, none = NodeType.SAME, NodeType.NONE
     drops: dict[int, str] = {}
 
-    def head(i: int) -> int | str:
-        """The first non-SAME token up i's parent chain, or why there is none."""
-        j = parents[i]
-        for _ in range(len(sent)):
-            if j == 0:
-                return ILLEGAL_ARC
-            if kinds[j] is NodeType.NONE:
-                return SAME_TO_NONE
-            if kinds[j] is not NodeType.SAME:
-                return j
+    def head(j: int) -> int | str:
+        """The first non-SAME token up the parent chain from j, or why there is none."""
+        for _ in toks:
+            if kinds[j] is not same:
+                return ILLEGAL_ARC if j == 0 else SAME_TO_NONE if kinds[j] is none else j
             j = parents[j]
         return SAME_CYCLE
 
     pieces: dict[int, list[int]] = {}  # phrase head -> its SAME tokens, ascending
-    for i in kinds:
-        if kinds[i] is NodeType.SAME:
-            h = SELF_REFERENCE if parents[i] == i else head(i)
+    for i, _, kind, parent in toks:
+        if kind is same:
+            h = SELF_REFERENCE if parent == i else head(parent)
             if isinstance(h, str):
                 drops[i] = h
             else:
@@ -151,9 +148,11 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
 
     # Labels come first: a parent may follow its child.
     labels: dict[int, str] = {}
-    for i in kinds:
-        if kinds[i] not in (NodeType.NONE, NodeType.SAME):
-            words = canonical_words(" ".join(forms[k] for k in sorted(pieces.get(i, []) + [i])))
+    for i, form, kind, _ in toks:
+        if kind is not same and kind is not none:
+            if i in pieces:
+                form = " ".join(forms[k] for k in sorted(pieces[i] + [i]))
+            words = canonical_words(form)
             if words:
                 labels[i] = " ".join(words)
             else:
@@ -161,14 +160,15 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
 
     attached: dict[int, int] = {}  # child -> head of its parent chain
     for i in labels:
-        if parents[i] == i:
+        kind, parent = kinds[i], parents[i]
+        if parent == i:
             drops[i] = SELF_REFERENCE
-        elif kinds[i] is NodeType.SUBJ:  # the arc only says "attach to ROOT"
-            if parents[i] != 0:
+        elif kind is NodeType.SUBJ:  # the arc only says "attach to ROOT"
+            if parent != 0:
                 drops[i] = SUBJ_NOT_ROOT
         else:
-            h = head(i)  # a reason string is never a label key
-            if h in labels and arc_legal(kinds[i], kinds[h]):
+            h = head(parent)  # a reason string is never a label key
+            if h in labels and kinds[h] in _LEGAL_PARENTS[kind]:
                 attached[i] = h
             else:
                 drops[i] = ILLEGAL_ARC
@@ -180,11 +180,8 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
     preds = {p for _, p in objts}  # an attached PRED among these has a relation
     drops.update((i, NO_OBJECT) for i in attached if kinds[i] is NodeType.PRED and i not in preds)
 
-    graph = build_graph(
-        [(i, labels[i]) for i in labels if kinds[i] in (NodeType.SUBJ, NodeType.OBJT)],
-        attributes,
-        relations,
-    )
+    objects = [(i, labels[i]) for i in labels if kinds[i] in (NodeType.SUBJ, NodeType.OBJT)]
+    graph = build_graph(objects, attributes, relations)
     merged_phrases = tuple((h, tuple(p)) for h, p in sorted(pieces.items()))
     return DecodeReport(graph, tuple(sorted(drops.items())), merged_phrases)
 
@@ -209,41 +206,44 @@ def write_conll(sentences: list[TaggedSentence]) -> str:
         for sent in sentences)
 
 
+def _decimal(s: str) -> int | None:
+    """The int that s spells in write_conll's spelling, str(int), else None."""
+    try:
+        n = int(s)
+    except ValueError:
+        return None
+    return n if str(n) == s else None
+
+
 def read_conll(text: str) -> list[TaggedSentence]:
-    """Parse CONLL text whose ARC_LABEL and NODE_TYPE columns, and NONE rows'
-    HEAD, are spelled as write_conll writes them. Raises ParseError with the
-    offending line number."""
+    """Parse CONLL text whose columns are spelled as write_conll writes them:
+    INDEX and HEAD in plain decimal, and the writer's ARC_LABEL and NODE_TYPE
+    pairs. Raises ParseError with the offending line number."""
     sentences: list[TaggedSentence] = []
-    # (line number, index, form, node type, parent); the parent is checked
-    # against T once the sentence ends
-    rows: list[tuple[int, int, str, NodeType, int]] = []
-
-    def flush():
-        if not rows:
-            return
-        t = len(rows)
-        toks = []
-        for line_no, index, form, node_type, parent in rows:
-            if parent > t:
-                raise ParseError(line_no, f"HEAD {parent} exceeds sentence length {t}")
-            toks.append(TaggedToken(index, form, node_type, parent))
-        sentences.append(TaggedSentence(tuple(toks)))
-        rows.clear()
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            flush()
+    toks: list[TaggedToken] = []
+    lines = text.split("\n")
+    lines.append("")  # ends the last sentence
+    for line_no, line in enumerate(lines, start=1):
+        if not line or line.isspace():
+            if toks:
+                try:
+                    sentences.append(TaggedSentence(tuple(toks)))
+                except ValueError:  # a HEAD past the end: rows are line_no - t .. line_no - 1
+                    t = len(toks)
+                    tok = next(tok for tok in toks if tok.parent > t)
+                    raise ParseError(line_no - t - 1 + tok.index,
+                                     f"HEAD {tok.parent} exceeds sentence length {t}") from None
+                toks = []
             continue
         cols = line.split("\t")
         if len(cols) != 5:
             raise ParseError(line_no, f"expected 5 tab-separated columns, got {len(cols)}")
         idx_s, form, head_s, arc_s, type_s = cols
-        try:
-            index = int(idx_s)
-        except ValueError:
-            raise ParseError(line_no, f"bad INDEX {idx_s!r}") from None
-        if index != len(rows) + 1:
-            raise ParseError(line_no, f"non-contiguous INDEX {index}, expected {len(rows) + 1}")
+        index = len(toks) + 1
+        if idx_s != str(index):
+            n = _decimal(idx_s)
+            raise ParseError(line_no, f"bad INDEX {idx_s!r}" if n is None
+                             else f"non-contiguous INDEX {n}, expected {index}")
         if not form:
             raise ParseError(line_no, "empty FORM")
         node_type = _TYPE_OF_TAIL.get((arc_s, type_s))
@@ -257,12 +257,11 @@ def read_conll(text: str) -> list[TaggedSentence]:
         elif head_s == "_":
             raise ParseError(line_no, f"missing HEAD for node type {type_s}")
         else:
-            try:
-                parent = int(head_s)
-            except ValueError:
-                raise ParseError(line_no, f"bad HEAD {head_s!r}") from None
+            parent = _decimal(head_s)
+            if parent is None:
+                raise ParseError(line_no, f"bad HEAD {head_s!r}")
             if parent < 0:
                 raise ParseError(line_no, f"negative HEAD {parent}")
-        rows.append((line_no, index, form, node_type, parent))
-    flush()
+        # one string per distinct form: a corpus repeats a small vocabulary
+        toks.append(TaggedToken(index, intern(form), node_type, parent))
     return sentences

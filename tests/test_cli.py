@@ -382,6 +382,52 @@ def test_unknown_grammar_key_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def _two_regions_with_ids_10_and_11(tmp_path):
+    regions = tmp_path / "r.jsonl"
+    regions.write_text(
+        json.dumps({"image_id": 7, "region_id": 10, "phrase": "red bus",
+                    "objects": [{"id": 1, "label": "bus"}], "attributes": [[1, "red"]]}) + "\n"
+        + json.dumps({"image_id": 8, "region_id": 11, "phrase": "cat on the mat",
+                      "objects": [{"id": 1, "label": "cat"}, {"id": 2, "label": "mat"}],
+                      "relationships": [[1, "on", 2]]}) + "\n")
+    return str(regions)
+
+
+def test_convert_regions_carries_ids_and_phrases_to_eval(tmp_path, capsys):
+    regions = _two_regions_with_ids_10_and_11(tmp_path)
+    conll, graphs = str(tmp_path / "t.conll"), str(tmp_path / "g.jsonl")
+    assert run(["align", "--regions", regions, "--out", conll]) == 0
+    assert run(["convert", "--in", conll, "--regions", regions, "--out", graphs]) == 0
+    with open(graphs) as f:
+        records = [json.loads(line) for line in f]
+    assert [(r["image_id"], r["region_id"], r["phrase"]) for r in records] == [
+        (7, 10, "red bus"), (8, 11, "cat on the mat")]
+    capsys.readouterr()
+    assert run(["eval", "--pred", graphs, "--ref", regions,
+                "--out", str(tmp_path / "report.jsonl")]) == 0
+    assert json.loads(capsys.readouterr().out) == {"aggregate_f": 1.0}
+
+
+def test_convert_regions_count_mismatch_is_data_error(tmp_path, capsys):
+    regions = _two_regions_with_ids_10_and_11(tmp_path)
+    conll = tmp_path / "t.conll"
+    conll.write_text("1\tbus\t0\t_\tSUBJ\n\n")
+    capsys.readouterr()
+    assert run(["convert", "--in", str(conll), "--regions", regions,
+                "--out", str(tmp_path / "g.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"sgforge: {conll} has 1 CONLL sentences but {regions} has 2 regions\n")
+    assert not (tmp_path / "g.jsonl").exists()
+
+
+def test_convert_rejects_other_head_spelling(tmp_path, capsys):
+    conll = tmp_path / "t.conll"
+    conll.write_text("1\tred\t2\tATTR\tATTR\n2\tbus\t+0\t_\tSUBJ\n\n")
+    capsys.readouterr()
+    assert run(["convert", "--in", str(conll), "--out", str(tmp_path / "g.jsonl")]) == 2
+    assert capsys.readouterr().err == f"sgforge: {conll}: line 2: bad HEAD '+0'\n"
+
+
 def _one_object_region(path, phrase, label):
     path.write_text(json.dumps({"image_id": 1, "region_id": 1, "phrase": phrase,
                                 "objects": [{"id": 1, "label": label}]}) + "\n")

@@ -37,6 +37,7 @@ COMMANDS = {
         ["eval", "--pred", "{bad}", "--ref", "{w}/regions.jsonl", "--out", "{w}/report"],
         ["eval", "--pred", "{w}/regions.jsonl", "--ref", "{bad}", "--out", "{w}/report"],
         ["parse", "--ckpt", "{w}/ckpt", "--regions", "{bad}", "--out", "{w}/pred.jsonl"],
+        ["convert", "--in", "{w}/targets.conll", "--regions", "{bad}", "--out", "{w}/graphs.jsonl"],
     ],
     "conll": [
         ["train", "--conll", "{bad}", "--regions", "{w}/regions.jsonl",
@@ -83,8 +84,10 @@ field_names = st.sampled_from([
     "adam_epsilon", "epochs", "batch_size", "seed", "lambda_mode", "lambda_value",
     "pattern_weights", "train_image_ids", "eval_image_ids",
 ]) | st.text(max_size=6)
+# "01", "+1", " 1" and "1_0" are int() spellings that write_conll never writes
 conll_fields = st.sampled_from(["_", "0", "1", "2", "-1", "99", "x", "SUBJ", "PRED", "OBJT",
-                                "ATTR", "SAME", "NONE"]) | st.text(max_size=4)
+                                "ATTR", "SAME", "NONE", "01", "+1", " 1", "1_0"]
+                               ) | st.text(max_size=4)
 
 
 def cli(argv):

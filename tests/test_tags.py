@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgforge.errors import ParseError
-from sgforge.graph import build_graph, canonical_words, extract_tuples
+from sgforge.graph import ObjectInstance, build_graph, canonical_words, extract_tuples
 from sgforge.tags import (
     EMPTY_LABEL,
     ILLEGAL_ARC,
@@ -141,6 +141,15 @@ def test_decode_subj_arc_to_non_root_dropped_node_kept():
     assert (1, "subj_not_root") in report.dropped_arcs
 
 
+@pytest.mark.parametrize("record, field", [
+    (TaggedToken(1, "cat", T.SUBJ, 0), "parent"),
+    (ObjectInstance(1, "cat"), "label"),
+], ids=["tagged_token", "object_instance"])
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 2)
+
+
 def test_tagged_sentence_validates_indices():
     with pytest.raises(ValueError):
         TaggedSentence((TaggedToken(2, "x", T.NONE, 0),))
@@ -186,6 +195,27 @@ def test_read_conll_rejects_other_none_row_spellings(row, needle):
     with pytest.raises(ParseError, match=needle) as exc:
         read_conll(f"1\tcat\t0\t_\tSUBJ\n{row}\n")
     assert exc.value.line == 2
+
+
+# write_conll spells INDEX and HEAD as str(int); int() also takes a sign,
+# padding, underscores, leading zeros and non-ASCII digits, and the parent's
+# reader took each of these rows and rewrote it as 1\tcat\t0\t_\tSUBJ
+@pytest.mark.parametrize("row, needle", [
+    ("01\tcat\t+0\t_\tSUBJ", "bad INDEX '01'"),
+    ("+1\tcat\t0\t_\tSUBJ", "bad INDEX '+1'"),
+    ("1\tcat\t+0\t_\tSUBJ", "bad HEAD '+0'"),
+    ("1\tcat\t 0\t_\tSUBJ", "bad HEAD ' 0'"),
+    ("1\tcat\t0_0\t_\tSUBJ", "bad HEAD '0_0'"),
+    ("1\tcat\t\u0660\t_\tSUBJ", "bad HEAD '\u0660'"),
+    ("1\tcat\t-0\t_\tSUBJ", "bad HEAD '-0'"),
+], ids=["index_zero_padded", "index_signed", "head_signed", "head_padded",
+        "head_underscore", "head_arabic_indic", "head_negative_zero"])
+def test_read_conll_rejects_other_index_and_head_spellings(row, needle):
+    text = f"1\tdog\t0\t_\tSUBJ\n\n{row}\n"
+    assert write_conll(read_conll_reference(text)) == "1\tdog\t0\t_\tSUBJ\n\n1\tcat\t0\t_\tSUBJ\n\n"
+    with pytest.raises(ParseError) as exc:
+        read_conll(text)
+    assert (exc.value.line, str(exc.value)) == (3, f"line 3: {needle}")
 
 
 def test_read_conll_non_contiguous_index():
@@ -246,6 +276,104 @@ def test_conll_multi_sentence_roundtrip(sents):
         for s in sents
     ]
     assert read_conll(write_conll(normalized)) == normalized
+
+
+# Reference reader: 5-tuple rows that a nested flush turns into tokens once
+# the sentence ends, and INDEX and HEAD parsed with bare int(). read_conll
+# must return equal sentences or raise an equal ParseError, except where a
+# corrupted INDEX or HEAD is an int() spelling that write_conll never writes.
+def read_conll_reference(text: str) -> list[TaggedSentence]:
+    sentences: list[TaggedSentence] = []
+    rows: list[tuple[int, int, str, NodeType, int]] = []
+    type_of_tail = {("_", "SUBJ"): T.SUBJ, ("_", "PRED"): T.PRED, ("_", "OBJT"): T.OBJT,
+                    ("ATTR", "ATTR"): T.ATTR, ("SAME", "SAME"): T.SAME, ("_", "_"): T.NONE}
+
+    def flush():
+        if not rows:
+            return
+        t = len(rows)
+        toks = []
+        for line_no, index, form, node_type, parent in rows:
+            if parent > t:
+                raise ParseError(line_no, f"HEAD {parent} exceeds sentence length {t}")
+            toks.append(TaggedToken(index, form, node_type, parent))
+        sentences.append(TaggedSentence(tuple(toks)))
+        rows.clear()
+
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split("\t")
+        if len(cols) != 5:
+            raise ParseError(line_no, f"expected 5 tab-separated columns, got {len(cols)}")
+        idx_s, form, head_s, arc_s, type_s = cols
+        try:
+            index = int(idx_s)
+        except ValueError:
+            raise ParseError(line_no, f"bad INDEX {idx_s!r}") from None
+        if index != len(rows) + 1:
+            raise ParseError(line_no, f"non-contiguous INDEX {index}, expected {len(rows) + 1}")
+        if not form:
+            raise ParseError(line_no, "empty FORM")
+        node_type = type_of_tail.get((arc_s, type_s))
+        if node_type is None:
+            raise ParseError(line_no, f"ARC_LABEL {arc_s!r} and NODE_TYPE {type_s!r} match no "
+                             "node type")
+        if node_type is NodeType.NONE:
+            if head_s != "_":
+                raise ParseError(line_no, f"HEAD {head_s!r} on a NONE row, which takes '_'")
+            parent = 0
+        elif head_s == "_":
+            raise ParseError(line_no, f"missing HEAD for node type {type_s}")
+        else:
+            try:
+                parent = int(head_s)
+            except ValueError:
+                raise ParseError(line_no, f"bad HEAD {head_s!r}") from None
+            if parent < 0:
+                raise ParseError(line_no, f"negative HEAD {parent}")
+        rows.append((line_no, index, form, node_type, parent))
+    flush()
+    return sentences
+
+
+def _read_outcome(reader, text):
+    try:
+        return reader(text)
+    except ParseError as e:
+        return e.line, str(e)
+
+
+def _other_int_spelling(s: str) -> bool:
+    try:
+        return str(int(s)) != s
+    except ValueError:
+        return False
+
+
+conll_fields = st.sampled_from([
+    "_", "0", "1", "2", "3", "-1", "99", "", "x", "SUBJ", "PRED", "OBJT", "ATTR", "SAME", "NONE",
+    "01", "+1", " 1", "1_0", "-0", "\u0661", "00",
+]) | st.text(max_size=4)
+
+
+@given(st.lists(tagged_sentences(max_len=5, min_len=1), min_size=1, max_size=4), st.data())
+@settings(max_examples=500)
+def test_read_conll_equals_reference_on_corrupted_text(sents, data):
+    lines = write_conll(sents).split("\n")
+    k = data.draw(st.sampled_from([k for k, line in enumerate(lines) if line]))
+    cols = lines[k].split("\t")
+    col = data.draw(st.integers(0, 4))
+    cols[col] = value = data.draw(conll_fields)
+    lines[k] = "\t".join(cols)
+    text = "\n".join(lines)
+    if data.draw(st.booleans()):  # the last sentence may end with the text
+        text = text.rstrip("\n")
+    got, want = _read_outcome(read_conll, text), _read_outcome(read_conll_reference, text)
+    if got != want:
+        assert col in (0, 2) and _other_int_spelling(value), (got, want)
+        assert got == (k + 1, f"line {k + 1}: bad {'INDEX' if col == 0 else 'HEAD'} {value!r}")
 
 
 # Reference writer: one `_row` call and two `Enum.name` lookups per token.
@@ -466,11 +594,13 @@ def test_decode_equals_reference_on_every_small_sentence():
 @st.composite
 def chain_heavy_sentences(draw, max_len=12):
     # SAME is drawn as often as all other types together, so long SAME
-    # chains, cycles and chains ending at ROOT or NONE are common
+    # chains, cycles and chains ending at ROOT or NONE are common. Forms with
+    # capitals, inner or edge whitespace, or none but whitespace exercise the
+    # canonical label of a phrase head with no SAME pieces.
     n = draw(st.integers(0, max_len))
     kinds = st.one_of(st.just(NodeType.SAME), st.sampled_from(list(NodeType)))
-    return tagged([(draw(st.sampled_from(["a", "b", " "])), draw(kinds), draw(st.integers(0, n)))
-                   for _ in range(n)])
+    forms = st.sampled_from(["a", "b", " ", "A", "a b", "\tB "])
+    return tagged([(draw(forms), draw(kinds), draw(st.integers(0, n))) for _ in range(n)])
 
 
 @given(chain_heavy_sentences())
