@@ -50,6 +50,10 @@ class Lexicon:
                             "strings")
         return cls.from_pairs(mapping)
 
+    def __bool__(self) -> bool:
+        """False when the table holds no synonym pair, as EMPTY_LEXICON."""
+        return bool(self._table)
+
     def synonyms(self, label: str) -> frozenset[str]:
         return self._table.get(label, frozenset()) | {label}
 

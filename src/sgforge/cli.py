@@ -7,6 +7,7 @@ pipelines. Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
 from dataclasses import asdict
@@ -25,9 +26,29 @@ from .data import (
 from .errors import ConfigError, IdMismatchError, SequenceTooLongError, SgforgeError
 from .graph import canonical_words
 from .metrics import evaluate_corpus
-from .model import ModelConfig, predict
 from .tags import NodeType, decode_tags_to_graph, read_conll, tagged, write_conll
-from .train import Example, TrainConfig, load_checkpoint, save_checkpoint, train
+
+
+def _lazy(name: str):
+    """The module `name`, registered in sys.modules (and on its package) but
+    not run: its code runs on the first attribute access. So `gen`, `align`,
+    `convert` and `eval` never import numpy, while every module still exists
+    for whoever looks it up by name, such as the tracer in bench/spans.py."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+_lazy(__package__ + ".tokenizer")  # loaded by model and train; registered like them
+model = _lazy(__package__ + ".model")
+train = _lazy(__package__ + ".train")
 
 
 class _UsageError(Exception):
@@ -207,15 +228,15 @@ def _cmd_train(args) -> int:
         raise IdMismatchError(
             f"{len(sentences)} CONLL sentences but {len(regions)} regions"
         )
-    model_defaults = asdict(ModelConfig(vocab_size=0))
+    model_defaults = asdict(model.ModelConfig(vocab_size=0))
     del model_defaults["vocab_size"]  # train takes it from the tokenizer
     model_kwargs = _apply_overrides(model_defaults, args.model_config)
-    train_kwargs = _apply_overrides(asdict(TrainConfig()), args.train_config)
+    train_kwargs = _apply_overrides(asdict(train.TrainConfig()), args.train_config)
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
-    model_cfg = _config(ModelConfig, {"vocab_size": 0, **model_kwargs},
+    model_cfg = _config(model.ModelConfig, {"vocab_size": 0, **model_kwargs},
                         args.model_config or "model config")
-    train_cfg = _config(TrainConfig, train_kwargs, args.train_config or "train config")
+    train_cfg = _config(train.TrainConfig, train_kwargs, args.train_config or "train config")
 
     if args.split:
         spec = _load(args.split, SplitSpec.from_json)
@@ -224,25 +245,25 @@ def _cmd_train(args) -> int:
         cut = int(round(len(image_ids) * (1.0 - args.dev_frac)))
         spec = SplitSpec(frozenset(image_ids[:cut]), frozenset(image_ids[cut:]))
     examples = [
-        Example(r.description, sent, r.graph) for r, sent in zip(regions, sentences)
+        train.Example(r.description, sent, r.graph) for r, sent in zip(regions, sentences)
     ]
     train_pos, dev_pos = split(regions, spec)
     try:
-        result = train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
+        result = train.train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
                        model_cfg, train_cfg, log_fn=print)
     except SequenceTooLongError as e:
         region = regions[(train_pos + dev_pos)[e.position]]
         raise SequenceTooLongError(
             _too_long(args.regions, region.region_id, e.tokens, model_cfg.max_len)) from None
-    save_checkpoint(result.final, args.out)
-    save_checkpoint(result.best, args.out + ".best")
+    train.save_checkpoint(result.final, args.out)
+    train.save_checkpoint(result.best, args.out + ".best")
     return 0
 
 
 def _cmd_parse(args) -> int:
     if (args.input is None) == (args.regions is None):
         raise _UsageError("exactly one of --input or --regions is required")
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = train.load_checkpoint(args.ckpt)
     cfg = ckpt.model_config
     if args.input is not None:
         lines = [ln for ln in _read(args.input).splitlines() if ln.strip()]
@@ -250,7 +271,7 @@ def _cmd_parse(args) -> int:
     else:
         regions = _load_regions(args.regions)
         items = [(r.image_id, r.region_id, r.description) for r in regions]
-    sents = predict(
+    sents = model.predict(
         ckpt.params, cfg, ckpt.tokenizer, [desc for _, _, desc in items],
         ckpt.train_config.batch_size,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .align import STOPWORDS
 from .errors import DanglingReferenceError, EmptyLabelError
-from .graph import SceneGraph, build_graph, graph_from_dict, graph_to_dict
+from .graph import SceneGraph, build_graph, graph_from_dict, graph_to_dict, json_int
 
 _BLANK_PHRASE = "empty region description"
 
@@ -63,7 +63,8 @@ def region_from_dict(record: dict) -> Region:
     if not phrase.strip():
         raise EmptyLabelError(_BLANK_PHRASE)
     graph = graph_from_dict(record)
-    return Region(int(record["image_id"]), int(record["region_id"]), phrase, graph)
+    return Region(json_int(record["image_id"], "image_id"),
+                  json_int(record["region_id"], "region_id"), phrase, graph)
 
 
 def ingest(lines: list[str] | str) -> tuple[list[Region], list[tuple[int, str]]]:

@@ -7,6 +7,7 @@ triples. Tuple extraction flattens a graph to label-level tuples for scoring.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -59,37 +60,27 @@ def build_graph(
     collapse (set semantics, first occurrence kept in order). Any attribute or
     relation referencing an unknown object id raises DanglingReferenceError.
     """
-    objs: list[ObjectInstance] = []
-    ids: set[int] = set()
+    objs: dict[int, ObjectInstance] = {}
     for oid, label in objects:
-        if oid in ids:
+        if oid in objs:
             raise ValueError(f"duplicate object id {oid}")
-        ids.add(oid)
-        objs.append(ObjectInstance(oid, canonicalize_label(label)))
+        objs[oid] = ObjectInstance(oid, canonicalize_label(label))
 
-    attrs: list[tuple[int, str]] = []
-    seen_attrs: set[tuple[int, str]] = set()
+    attrs: dict[tuple[int, str], None] = {}  # insertion-ordered set
     for oid, label in attributes:
-        if oid not in ids:
+        if oid not in objs:
             raise DanglingReferenceError(f"attribute references unknown object id {oid}")
-        pair = (oid, canonicalize_label(label))
-        if pair not in seen_attrs:
-            seen_attrs.add(pair)
-            attrs.append(pair)
+        attrs[oid, canonicalize_label(label)] = None
 
-    rels: list[tuple[int, str, int]] = []
-    seen_rels: set[tuple[int, str, int]] = set()
+    rels: dict[tuple[int, str, int], None] = {}
     for sid, label, oid in relations:
-        if sid not in ids:
+        if sid not in objs:
             raise DanglingReferenceError(f"relation references unknown subject id {sid}")
-        if oid not in ids:
+        if oid not in objs:
             raise DanglingReferenceError(f"relation references unknown object id {oid}")
-        triple = (sid, canonicalize_label(label), oid)
-        if triple not in seen_rels:
-            seen_rels.add(triple)
-            rels.append(triple)
+        rels[sid, canonicalize_label(label), oid] = None
 
-    return SceneGraph(tuple(objs), tuple(attrs), tuple(rels))
+    return SceneGraph(tuple(objs.values()), tuple(attrs), tuple(rels))
 
 
 @dataclass(frozen=True)
@@ -130,11 +121,18 @@ def graph_to_dict(g: SceneGraph) -> dict:
     }
 
 
-def _uint(value) -> int:
-    oid = int(value)
-    if oid < 0:
-        raise ValueError(f"object ids must be non-negative, got {oid}")
-    return oid
+def json_int(value, field: str) -> int:
+    """value, if it is a JSON integer; a bool, float or string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _uint(value, field: str) -> int:
+    if type(value) is not int or value < 0:
+        json_int(value, field)  # a TypeError for a non-integer
+        raise ValueError(f"object ids must be non-negative, got {value}")
+    return value
 
 
 def _label(value) -> str:
@@ -147,8 +145,10 @@ def graph_from_dict(record: dict) -> SceneGraph:
     """Inverse of graph_to_dict. Accepts 'relations' or the VG-style 'relationships' key."""
     rels = record.get("relations", record.get("relationships", []))
     return build_graph(
-        [(_uint(o["id"]), _label(o["label"])) for o in record.get("objects", [])],
-        [(_uint(oid), _label(label)) for oid, label in record.get("attributes", [])],
-        [(_uint(sid), _label(label), _uint(oid)) for sid, label, oid in rels],
+        [(_uint(o["id"], "object id"), _label(o["label"])) for o in record.get("objects", [])],
+        [(_uint(oid, "attribute object id"), _label(label))
+         for oid, label in record.get("attributes", [])],
+        [(_uint(sid, "relation subject id"), _label(label), _uint(oid, "relation object id"))
+         for sid, label, oid in rels],
     )
 

@@ -49,27 +49,27 @@ def tuple_match(a: tuple[str, ...], b: tuple[str, ...], lex: Lexicon = EMPTY_LEX
 def match_count(pred: TupleSet, ref: TupleSet, lex: Lexicon = EMPTY_LEXICON) -> int:
     """Greedy one-to-one matching size.
 
-    Exact-equality pairs are matched first, then synonym pairs; iteration is
-    canonical (unary, binary, ternary, lexicographic) so the result does not
-    depend on construction order.
+    Equal tuples are matched first. Then each leftover predicted tuple, in
+    canonical order (lexicographic within each arity), takes the first
+    leftover reference tuple it matches through lexicon synonyms, so the
+    result does not depend on construction order. Without synonyms no
+    leftover can match: a predicted tuple equal to a reference one is
+    already matched.
     """
-    pred_tuples = pred.ordered()
-    ref_left = set(ref.ordered())
     matches = 0
-    unmatched_pred = []
-    for t in pred_tuples:
-        if t in ref_left:
-            ref_left.remove(t)
-            matches += 1
-        else:
-            unmatched_pred.append(t)
-    ref_ordered = [t for t in ref.ordered() if t in ref_left]
-    for t in unmatched_pred:
-        for r in ref_ordered:
-            if tuple_match(t, r, lex):
-                ref_ordered.remove(r)
-                matches += 1
-                break
+    for p, r in ((pred.unary, ref.unary), (pred.binary, ref.binary),
+                 (pred.ternary, ref.ternary)):
+        exact = p & r
+        matches += len(exact)
+        if not lex:
+            continue
+        ref_left = sorted(r - exact)
+        for t in sorted(p - exact):
+            for i, candidate in enumerate(ref_left):
+                if tuple_match(t, candidate, lex):
+                    del ref_left[i]
+                    matches += 1
+                    break
     return matches
 
 

@@ -564,3 +564,34 @@ def test_train_over_length_region_exits_2_before_training(tmp_path, capsys, imag
                             "more than max_len 16\n")
     assert captured.out == ""  # no epoch ran
     assert list(out_dir.iterdir()) == []
+
+
+def test_commands_without_a_model_never_import_numpy(tmp_path):
+    code = f"""
+import contextlib, io, sys
+from sgforge.cli import run
+w = {str(tmp_path)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        run(["gen", "--n", "6", "--seed", "2", "--out", w + "/r.jsonl"]),
+        run(["align", "--regions", w + "/r.jsonl", "--out", w + "/t.conll"]),
+        run(["convert", "--in", w + "/t.conll", "--regions", w + "/r.jsonl",
+             "--out", w + "/g.jsonl"]),
+        run(["eval", "--pred", w + "/g.jsonl", "--ref", w + "/r.jsonl", "--out", w + "/e"]),
+    ]
+print(codes, "numpy" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split("\n")[0] == "[0, 0, 0, 0] False"
+
+
+def test_non_integer_id_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "ids.jsonl"
+    bad.write_text('{"image_id":1,"region_id":1,"phrase":"red bus",'
+                   '"objects":[{"id":1.7,"label":"bus"}]}\n')
+    capsys.readouterr()
+    assert run(["align", "--regions", str(bad), "--out", str(tmp_path / "t.conll")]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:1: Malformed: object id must be an integer, got 1.7\n" in err

@@ -1,23 +1,28 @@
-"""Corrupted input files never crash the CLI: every command ends with exit
-code 0, 1 or 2, and no exception escapes `cli.run`.
+"""Corrupted input files and odd argument values never crash the CLI: every
+command ends with exit code 0, 1 or 2, and no exception escapes `cli.run`.
 
 Each example takes valid regions, CONLL, lexicon, grammar, config or split
 files, corrupts one of them (a JSON value replaced, deleted or added, a CONLL field
 rewritten, text spliced in, raw bytes inserted, or the file truncated) and
-runs every command that reads that kind of file. The examples are
-derandomized, so every run of the suite tries the same inputs; raise
-max_examples for a longer search.
+runs every command that reads that kind of file. Other examples give a
+subcommand's options values such as a missing path, a directory, "-", a
+negative number or NaN. The examples are derandomized, so every run of the
+suite tries the same inputs; raise max_examples for a longer search.
 """
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import sys
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sgforge.cli import run
+from sgforge.cli import _build_parser, run
 
 # small enough that a corrupted config still trains in milliseconds
 MODEL_CONFIG = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 16, "max_len": 16, "d_qk": 8}
@@ -168,3 +173,49 @@ def test_corrupted_file_gives_an_exit_code(work, kind, data):
     for template in COMMANDS[kind]:
         argv = [arg.format(w=work, bad=bad) for arg in template]
         assert cli(argv) in (0, 1, 2), argv
+
+
+def _options() -> dict[str, tuple[list[str], list[str]]]:
+    """Per subcommand, its required flags and its optional flags (every
+    subcommand has some) that take a value."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    out = {}
+    for name, parser in sub.choices.items():
+        flags = [a for a in parser._actions if a.option_strings and a.nargs != 0]
+        out[name] = ([a.option_strings[-1] for a in flags if a.required],
+                     [a.option_strings[-1] for a in flags if not a.required])
+    return out
+
+
+OPTIONS = _options()
+# "{d}" is a fresh directory per example, also the working directory, so a
+# relative path such as "0" lands there too
+ODD_VALUES = ["{d}/missing", "{d}", "-", "-1", "0", "nan", ""]
+
+
+@st.composite
+def odd_argv(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    required, optional = OPTIONS[command]
+    flags = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        argv += [flag, draw(st.sampled_from(ODD_VALUES))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(template=odd_argv())
+def test_odd_argument_values_give_an_exit_code(template):
+    with tempfile.TemporaryDirectory() as d:
+        argv = [arg.format(d=d) for arg in template]
+        cwd, stdin = os.getcwd(), sys.stdin
+        os.chdir(d)
+        sys.stdin = io.StringIO()  # "-" reads nothing
+        try:
+            assert cli(argv) in (0, 1, 2), argv
+        finally:
+            os.chdir(cwd)
+            sys.stdin = stdin

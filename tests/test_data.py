@@ -62,23 +62,43 @@ def test_ingest_collects_errors_without_aborting():
     assert errors[0][0] == 2
 
 
-@pytest.mark.parametrize("line", [
-    "[1]",
-    json.dumps(record(phrase=7)),
-    json.dumps(record(objects=[{"id": 1, "label": 5}])),
-    json.dumps(record(attributes=[[1, 5]])),
-    json.dumps(record(objects=[{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}],
-                      relationships=[[1, None, 2]])),
-    json.dumps(record(image_id=1e400)),
-    "[" * 100000 + "]" * 100000,
+TWO_OBJECTS = [{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}]
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("[1]", None),
+    (json.dumps(record(phrase=7)), None),
+    (json.dumps(record(objects=[{"id": 1, "label": 5}])), None),
+    (json.dumps(record(attributes=[[1, 5]])), None),
+    (json.dumps(record(objects=TWO_OBJECTS, relationships=[[1, None, 2]])), None),
+    (json.dumps(record(image_id=1e400)), "image_id must be an integer, got Infinity"),
+    ("[" * 100000 + "]" * 100000, None),
+    (json.dumps(record(objects=[{"id": 1.7, "label": "bus"}])),
+     "object id must be an integer, got 1.7"),
+    (json.dumps(record(region_id=True)), "region_id must be an integer, got true"),
+    (json.dumps(record(objects=[{"id": "3", "label": "bus"}])),
+     'object id must be an integer, got "3"'),
+    (json.dumps(record(image_id=3.9)), "image_id must be an integer, got 3.9"),
+    (json.dumps(record(attributes=[[1.0, "red"]])),
+     "attribute object id must be an integer, got 1.0"),
+    (json.dumps(record(objects=TWO_OBJECTS, relationships=[[False, "on", 2]])),
+     "relation subject id must be an integer, got false"),
+    (json.dumps(record(objects=TWO_OBJECTS, relationships=[[1, "on", [2]]])),
+     "relation object id must be an integer, got [2]"),
+    (json.dumps(record(objects=[{"id": -1, "label": "bus"}], attributes=[])),
+     "object ids must be non-negative, got -1"),
 ], ids=["list", "phrase", "object_label", "attribute_label", "relation_label", "huge_id",
-        "deep_nesting"])
-def test_ingest_wrongly_typed_record_is_malformed(line):
+        "deep_nesting", "float_object_id", "bool_region_id", "string_object_id",
+        "float_image_id", "float_attribute_id", "bool_relation_id", "list_relation_id",
+        "negative_object_id"])
+def test_ingest_wrongly_typed_record_is_malformed(line, reason):
     lines = [json.dumps(record()), line, json.dumps(record(region_id=11))]
     regions, errors = ingest("\n".join(lines))
     assert [r.region_id for r in regions] == [10, 11]
     assert len(errors) == 1
     assert errors[0][0] == 2 and errors[0][1].startswith("Malformed: ")
+    if reason is not None:
+        assert errors[0][1] == f"Malformed: {reason}"
 
 
 def test_ingest_reserialization_is_byte_exact():

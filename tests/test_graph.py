@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgforge.errors import DanglingReferenceError, EmptyLabelError
 from sgforge.graph import (
+    ObjectInstance,
     SceneGraph,
     build_graph,
     canonicalize_label,
@@ -130,3 +131,88 @@ def test_rebuild_identity(g):
 @given(graphs())
 def test_json_roundtrip(g):
     assert graph_from_dict(graph_to_dict(g)) == g
+
+
+def reference_build_graph(objects, attributes=(), relations=()) -> SceneGraph:
+    """The list-plus-seen-set build_graph that the dict-keyed one replaced,
+    kept verbatim as the reference."""
+    objs: list[ObjectInstance] = []
+    ids: set[int] = set()
+    for oid, label in objects:
+        if oid in ids:
+            raise ValueError(f"duplicate object id {oid}")
+        ids.add(oid)
+        objs.append(ObjectInstance(oid, canonicalize_label(label)))
+
+    attrs: list[tuple[int, str]] = []
+    seen_attrs: set[tuple[int, str]] = set()
+    for oid, label in attributes:
+        if oid not in ids:
+            raise DanglingReferenceError(f"attribute references unknown object id {oid}")
+        pair = (oid, canonicalize_label(label))
+        if pair not in seen_attrs:
+            seen_attrs.add(pair)
+            attrs.append(pair)
+
+    rels: list[tuple[int, str, int]] = []
+    seen_rels: set[tuple[int, str, int]] = set()
+    for sid, label, oid in relations:
+        if sid not in ids:
+            raise DanglingReferenceError(f"relation references unknown subject id {sid}")
+        if oid not in ids:
+            raise DanglingReferenceError(f"relation references unknown object id {oid}")
+        triple = (sid, canonicalize_label(label), oid)
+        if triple not in seen_rels:
+            seen_rels.add(triple)
+            rels.append(triple)
+
+    return SceneGraph(tuple(objs), tuple(attrs), tuple(rels))
+
+
+raw_labels = st.sampled_from(["cat", "Cat", " cat ", "red  bus", "on", "In Front of"])
+
+
+@st.composite
+def raw_graphs(draw):
+    """Unnormalized labels and repeated pairs and triples, then up to three
+    faults at drawn places: a repeated object id, a blank label, or a
+    reference to id 9, which no object has."""
+    objects = draw(st.lists(st.tuples(st.integers(0, 4), raw_labels), max_size=4,
+                            unique_by=lambda o: o[0]))
+    attributes, relations = [], []
+    if objects:
+        ids = st.sampled_from([oid for oid, _ in objects])
+        attributes = draw(st.lists(st.tuples(ids, raw_labels), max_size=6))
+        relations = draw(st.lists(st.tuples(ids, raw_labels, ids), max_size=6))
+    for fault in draw(st.lists(st.sampled_from(["id", "label", "reference"]), max_size=3)):
+        items = draw(st.sampled_from([objects, attributes, relations]))
+        at = draw(st.integers(0, len(items)))
+        if fault == "id" and objects:
+            objects.insert(draw(st.integers(0, len(objects))),
+                           (draw(st.sampled_from(objects))[0], draw(raw_labels)))
+        elif fault == "label" and at < len(items):
+            items[at] = (*items[at][:1], "  ", *items[at][2:])
+        elif fault == "reference" and items is not objects:
+            oid = draw(st.sampled_from(objects))[0] if objects else 9
+            label = draw(raw_labels)
+            items.insert(at, (9, label) if items is attributes
+                         else draw(st.sampled_from([(9, label, oid), (oid, label, 9)])))
+    return objects, attributes, relations
+
+
+def _outcome(build, objects, attributes, relations):
+    try:
+        return build(objects, attributes, relations)
+    except Exception as e:  # noqa: BLE001 -- the error itself is compared
+        return type(e), str(e)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(raw_graphs())
+def test_build_graph_equals_reference(graph):
+    assert _outcome(build_graph, *graph) == _outcome(reference_build_graph, *graph)
+
+
+def test_duplicate_object_id_reported_before_later_blank_label():
+    with pytest.raises(ValueError, match="duplicate object id 1"):
+        build_graph([(1, "cat"), (1, "dog"), (2, "  ")])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgforge.align import Lexicon
+from sgforge.align import EMPTY_LEXICON, Lexicon
 from sgforge.errors import IdMismatchError
 from sgforge.graph import TupleSet, build_graph, extract_tuples
 from sgforge.metrics import Scores, evaluate_corpus, match_count, spice_f1, tuple_match
@@ -107,6 +107,57 @@ def test_greedy_equals_bruteforce_small_instances():
         if len(pred) + len(ref) > 8:
             continue
         assert match_count(pred, ref, GROUP_LEX) == max_matching(pred, ref, GROUP_LEX)
+
+
+def reference_match_count(pred: TupleSet, ref: TupleSet, lex: Lexicon = EMPTY_LEXICON) -> int:
+    """The list-walking match_count that the set-intersection one replaced,
+    kept verbatim as the reference."""
+    pred_tuples = pred.ordered()
+    ref_left = set(ref.ordered())
+    matches = 0
+    unmatched_pred = []
+    for t in pred_tuples:
+        if t in ref_left:
+            ref_left.remove(t)
+            matches += 1
+        else:
+            unmatched_pred.append(t)
+    ref_ordered = [t for t in ref.ordered() if t in ref_left]
+    for t in unmatched_pred:
+        for r in ref_ordered:
+            if tuple_match(t, r, lex):
+                ref_ordered.remove(r)
+                matches += 1
+                break
+    return matches
+
+
+# "bus" and "cat" share the synonym "dog", and "bus" has "kitty" too, so the
+# count depends on the greedy order: ("bus",) takes ("dog",) before ("cat",) can
+OVERLAP_LEX = Lexicon.from_pairs({"bus": ["dog", "kitty"], "cat": ["dog"]})
+
+
+def _arity(n):
+    return st.frozensets(st.tuples(*[st.sampled_from(LABELS)] * n), max_size=4)
+
+
+tuple_sets = st.builds(TupleSet, _arity(1), _arity(2), _arity(3))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(tuple_sets, tuple_sets, st.sampled_from([GROUP_LEX, EMPTY_LEXICON, OVERLAP_LEX]))
+def test_match_count_equals_reference(pred, ref, lex):
+    assert match_count(pred, ref, lex) == reference_match_count(pred, ref, lex)
+    assert match_count(pred, pred, lex) == len(pred)
+
+
+def test_match_count_follows_the_canonical_order():
+    # ("bus",) comes first and takes the first reference it matches,
+    # ("auto",), the only one ("cat",) could have taken
+    lex = Lexicon.from_pairs({"bus": ["auto", "blue", "dog", "kitty", "red"], "cat": ["auto"]})
+    pred = ts(("bus",), ("cat",))
+    ref = ts(("auto",), ("blue",), ("dog",), ("kitty",), ("red",))
+    assert match_count(pred, ref, lex) == reference_match_count(pred, ref, lex) == 1
 
 
 def test_limited_mode_dominance_randomized():
