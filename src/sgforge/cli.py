@@ -105,6 +105,15 @@ def _load_regions(path: str) -> list[Region]:
     return regions
 
 
+def _write_graphs(path: str, items, sentences) -> None:
+    """Decode each tagged sentence and write it as a region record carrying
+    its item's (image id, region id, description)."""
+    _write(path, write_regions([
+        Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
+        for (image_id, region_id, desc), sent in zip(items, sentences)
+    ]))
+
+
 def _too_long(path: str, region_id: int, n: int, max_len: int) -> str:
     return f"{path}: region {region_id} has {n} tokens, more than max_len {max_len}"
 
@@ -284,12 +293,8 @@ def _cmd_parse(args) -> int:
             sents[k] = tagged([(w, NodeType.NONE, 0) for w in canonical_words(desc)])
     if args.format == "conll":
         _write(args.out, write_conll(sents))
-        return 0
-    regions = [
-        Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
-        for (image_id, region_id, desc), sent in zip(items, sents)
-    ]
-    _write(args.out, write_regions(regions))
+    else:
+        _write_graphs(args.out, items, sents)
     return 0
 
 
@@ -343,11 +348,7 @@ def _cmd_convert(args) -> int:
             raise IdMismatchError(f"{args.infile} has {len(sentences)} CONLL sentences but "
                                   f"{args.regions} has {len(source)} regions")
         items = [(r.image_id, r.region_id, r.description) for r in source]
-    regions = [
-        Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
-        for (image_id, region_id, desc), sent in zip(items, sentences)
-    ]
-    _write(args.out, write_regions(regions))
+    _write_graphs(args.out, items, sentences)
     return 0
 
 

@@ -52,8 +52,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1:  # also the inference chunk size
             raise ValueError("batch_size must be at least 1")
         if self.epochs < 0:
@@ -150,31 +150,21 @@ class Checkpoint:
     train_config: TrainConfig
     tokenizer: Tokenizer
     params: Params
-    step: int = 0
-    metrics: dict = field(default_factory=dict)
+    metrics: dict  # the epoch record, "step" included
 
 
 _CHECKPOINT_FORMAT = "sgforge-checkpoint"
-_CHECKPOINT_VERSION = 3
-_MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "step",
-                  "metrics", "tensors")
+_CHECKPOINT_VERSION = 4
+_MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "metrics")
 
 
 def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
-    """Write {base}.json manifest and {base}.bin float32 payload."""
-    names = sorted(ckpt.params)
-    tensors = []
-    offset = 0
-    blobs = []
-    for name in names:
-        arr = np.ascontiguousarray(ckpt.params[name], dtype="<f4")
-        blob = arr.tobytes()
-        tensors.append(
-            {"name": name, "shape": list(arr.shape), "dtype": "<f4",
-             "offset": offset, "nbytes": len(blob)}
-        )
-        blobs.append(blob)
-        offset += len(blob)
+    """Write the {base}.json manifest and the {base}.bin payload: every param
+    as little-endian float32, in sorted-name order, back to back. The layout
+    follows from `param_shapes(model_config)`, so the manifest does not list it
+    and the params must have exactly those names and shapes."""
+    if {name: p.shape for name, p in ckpt.params.items()} != param_shapes(ckpt.model_config):
+        raise ShapeMismatchError("checkpoint params differ from param_shapes(model_config)")
     manifest = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
@@ -185,20 +175,19 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
             "tokens": list(ckpt.tokenizer.tokens),
             "merges": [list(m) for m in ckpt.tokenizer.merges],
         },
-        "step": ckpt.step,
         "metrics": ckpt.metrics,
-        "tensors": tensors,
     }
     with open(base_path + ".json", "w", encoding="utf-8") as f:
         f.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
     with open(base_path + ".bin", "wb") as f:
-        f.write(b"".join(blobs))
+        f.write(b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes()
+                         for name in sorted(ckpt.params)))
 
 
 def load_checkpoint(base_path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
-    unless the manifest is well formed and its tensors are exactly those the
-    model config needs, each lying inside the payload."""
+    unless the manifest is well formed and the payload holds exactly the
+    float32 values that `param_shapes(model_config)` asks for."""
     json_path, bin_path = base_path + ".json", base_path + ".bin"
 
     def bad(message: str) -> CheckpointError:
@@ -231,34 +220,19 @@ def load_checkpoint(base_path: str) -> Checkpoint:
     if tokenizer.vocab_size != model_config.vocab_size:
         raise bad(f"tokenizer has {tokenizer.vocab_size} tokens, model_config.vocab_size is "
                   f"{model_config.vocab_size}")
-    if not isinstance(manifest["tensors"], list):
-        raise bad("tensors is not a list")
-    expected = param_shapes(model_config)
+    shapes = param_shapes(model_config)
+    sizes = {name: math.prod(shape) for name, shape in shapes.items()}
+    need = 4 * sum(sizes.values())
+    if len(payload) != need:
+        raise CheckpointError(f"{bin_path}: holds {len(payload)} bytes, the model config in "
+                              f"{json_path} needs {need}")
+    values = np.frombuffer(payload, dtype="<f4")
     params: Params = {}
-    for spec in manifest["tensors"]:
-        try:
-            name, shape, offset, nbytes = (
-                spec["name"], tuple(spec["shape"]), spec["offset"], spec["nbytes"])
-        except (KeyError, TypeError) as e:
-            raise bad(f"bad tensor entry {spec!r}: {e!r}") from None
-        if name not in expected or name in params:
-            raise bad(f"tensor {name!r} is unexpected or repeated")
-        if shape != expected[name]:
-            raise bad(f"tensor {name!r} has shape {list(shape)}, the config needs "
-                      f"{list(expected[name])}")
-        if spec.get("dtype") != "<f4" or nbytes != 4 * math.prod(shape):
-            raise bad(f"tensor {name!r} is not {math.prod(shape)} float32 values")
-        if not (isinstance(offset, int) and 0 <= offset and offset + nbytes <= len(payload)):
-            raise bad(f"tensor {name!r} at offset {offset} runs past the end of {bin_path} "
-                      f"({len(payload)} bytes)")
-        raw = payload[offset : offset + nbytes]
-        params[name] = np.frombuffer(raw, dtype="<f4").reshape(expected[name]).copy()
-    missing = [name for name in expected if name not in params]
-    if missing:
-        raise bad(f"tensors {missing} are missing")
-    return Checkpoint(
-        model_config, train_config, tokenizer, params, manifest["step"], manifest["metrics"],
-    )
+    offset = 0
+    for name in sorted(shapes):
+        params[name] = values[offset : offset + sizes[name]].reshape(shapes[name]).copy()
+        offset += sizes[name]
+    return Checkpoint(model_config, train_config, tokenizer, params, manifest["metrics"])
 
 
 @dataclass
@@ -266,10 +240,6 @@ class TrainResult:
     final: Checkpoint
     best: Checkpoint
     log: list[dict]
-
-
-def _clone_params(params: Params) -> Params:
-    return {name: arr.copy() for name, arr in params.items()}
 
 
 def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Encoded]:
@@ -303,6 +273,7 @@ def _all_finite(arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is checked and reported below
 def train(
     train_examples: list[Example],
     dev_examples: list[Example],
@@ -333,12 +304,11 @@ def train(
 
     state = AdamState()
     log: list[dict] = []
-    best_f = -1.0
-    best_params = _clone_params(params)
-    best_metrics: dict = {"epoch": 0}
+    best: Checkpoint | None = None  # the epoch with the highest dev F so far
 
-    def make_ckpt(p, step, metrics):
-        return Checkpoint(model_cfg, train_cfg, tokenizer, _clone_params(p), step, dict(metrics))
+    def make_ckpt(metrics):
+        return Checkpoint(model_cfg, train_cfg, tokenizer,
+                          {name: arr.copy() for name, arr in params.items()}, dict(metrics))
 
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(len(train_enc))
@@ -374,13 +344,7 @@ def train(
         log.append(record)
         if log_fn is not None:
             log_fn(json.dumps(record, sort_keys=True, allow_nan=False))
-        if dev_f is not None and dev_f > best_f:
-            best_f = dev_f
-            best_params = _clone_params(params)
-            best_metrics = record
-    final_metrics = log[-1] if log else {"epoch": 0, "lambda": loss_weight}
-    final = make_ckpt(params, state.step, final_metrics)
-    best = make_ckpt(best_params, state.step, best_metrics)
-    if best_f < 0:  # no dev set: best mirrors final
-        best = final
-    return TrainResult(final, best, log)
+        if dev_f is not None and (best is None or dev_f > best.metrics["dev_f"]):
+            best = make_ckpt(record)
+    final = make_ckpt(log[-1] if log else {"epoch": 0, "step": 0, "lambda": loss_weight})
+    return TrainResult(final, best or final, log)  # no dev set: best mirrors final

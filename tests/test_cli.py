@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,20 @@ def test_diverging_training_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not [p for p in out_dir.iterdir() if p.suffix in (".json", ".bin")]
 
 
+def test_diverging_training_prints_one_line_and_no_warnings(tmp_path):
+    regions_file = str(tmp_path / "regions.jsonl")
+    conll_file = str(tmp_path / "targets.conll")
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"learning_rate": 1e9, "epochs": 2, "batch_size": 8}))
+    assert run(["gen", "--n", "40", "--seed", "3", "--out", regions_file]) == 0
+    assert run(["align", "--regions", regions_file, "--out", conll_file]) == 0
+    proc = sgforge_cmd("train", "--conll", conll_file, "--regions", regions_file,
+                       "--train-config", str(train_cfg), "--out", str(tmp_path / "ckpt"))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("sgforge: training diverged at epoch ")
+
+
 @pytest.mark.parametrize("side", ["pred", "ref"])
 def test_eval_duplicate_region_id_is_data_error(tmp_path, capsys, side):
     three = str(tmp_path / "three.jsonl")
@@ -298,6 +313,8 @@ def aligned(tmp_path_factory):
     ("--train-config", {"lambda_mode": "fixed"}, "lambda_mode"),  # a removed key
     ("--split", {"train_image_ids": [0, 1], "eval_image_ids": [2], "holdout_ids": [3]},
      "unknown split spec keys: ['holdout_ids']"),
+    ("--train-config", {"learning_rate": math.nan}, "learning_rate"),
+    ("--train-config", {"learning_rate": math.inf}, "learning_rate"),
 ])
 def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config, field):
     regions_file, conll_file = aligned
@@ -326,7 +343,44 @@ def test_parse_truncated_checkpoint_is_data_error(trained, tmp_path):
                        "--out", str(tmp_path / "pred.jsonl"))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "ckpt.bin" in proc.stderr and "tensor" in proc.stderr
+    assert "ckpt.bin" in proc.stderr and "1000 bytes" in proc.stderr
+    assert not (tmp_path / "pred.jsonl").exists()
+
+
+def _set_version_3(manifest):
+    manifest["version"] = 3
+
+
+def _widen_d_ff(manifest):
+    manifest["model_config"]["d_ff"] += 1
+
+
+@pytest.mark.parametrize("edit_manifest, edit_payload", [
+    (_set_version_3, None),
+    (None, lambda payload: payload[:-1]),
+    (None, lambda payload: payload + bytes(4)),
+    (_widen_d_ff, None),
+], ids=["version-3", "short-payload", "long-payload", "d_ff-plus-one"])
+def test_parse_bad_checkpoint_is_one_line_naming_the_file(trained, tmp_path, capsys,
+                                                          edit_manifest, edit_payload):
+    _, regions_file, ckpt_base = trained
+    with open(ckpt_base + ".json") as f:
+        manifest = json.load(f)
+    with open(ckpt_base + ".bin", "rb") as f:
+        payload = f.read()
+    if edit_manifest is not None:
+        edit_manifest(manifest)
+    if edit_payload is not None:
+        payload = edit_payload(payload)
+    base = str(tmp_path / "ckpt")
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    (tmp_path / "ckpt.bin").write_bytes(payload)
+    capsys.readouterr()
+    code = run(["parse", "--ckpt", base, "--regions", regions_file,
+                "--out", str(tmp_path / "pred.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and base in err
     assert not (tmp_path / "pred.jsonl").exists()
 
 

@@ -196,7 +196,7 @@ DESK_SMALL = ModelConfig(vocab_size=0, d_model=32, n_layers=1, n_heads=2, d_ff=6
 def test_train_zero_epochs_returns_initialization():
     examples = synthetic_examples(8)
     result = train(examples, [], DESK_SMALL, TrainConfig(epochs=0, seed=3))
-    assert result.final.step == 0
+    assert result.final.metrics["step"] == 0
     assert result.log == []
     fresh = init_params(result.final.model_config, seed=3)
     for name, arr in result.final.params.items():
@@ -310,30 +310,16 @@ def _edit_manifest(base, edit):
         json.dump(manifest, f)
 
 
-def _tensor(manifest, name):
-    return next(t for t in manifest["tensors"] if t["name"] == name)
-
-
-def _grow_pos_emb(m):
-    spec = _tensor(m, "pos_emb")
-    spec["shape"][0] += 1
-    spec["nbytes"] += 4 * spec["shape"][1]
-
-
 @pytest.mark.parametrize("edit, needle", [
     (lambda m: m.update(format="other"), "format"),
     (lambda m: m.update(version=1), "version"),
     (lambda m: m.update(version=2), "version 2"),
-    (lambda m: m.pop("tensors"), "tensors"),
+    (lambda m: m.update(version=3), "version 3"),
     (lambda m: m.pop("tokenizer"), "tokenizer"),
     (lambda m: m["train_config"].update(batch_size=0), "batch_size"),
-    (lambda m: _tensor(m, "head.w_c").update(nbytes=8), "head.w_c"),
-    (lambda m: _tensor(m, "head.w_q").update(offset=10**9), "head.w_q"),
-    (_grow_pos_emb, "pos_emb"),
-    (lambda m: m["tensors"].remove(_tensor(m, "layer0.ln2.b")), "layer0.ln2.b"),
-    (lambda m: m["tensors"].append(dict(_tensor(m, "head.w_k"), name="head.w_z")), "head.w_z"),
     (lambda m: m["model_config"].update(vocab_size=m["model_config"]["vocab_size"] + 1),
      "vocab_size"),
+    (lambda m: m["model_config"].update(d_ff=m["model_config"]["d_ff"] + 1), "ckpt.bin"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
@@ -342,12 +328,42 @@ def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     assert saved_checkpoint in str(info.value)
 
 
-def test_load_checkpoint_rejects_truncated_payload(saved_checkpoint):
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload[:-1],
+    lambda payload: payload + bytes(4),
+], ids=["one-byte-short", "one-float-too-many"])
+def test_load_checkpoint_rejects_payload_of_wrong_length(saved_checkpoint, edit):
     with open(saved_checkpoint + ".bin", "rb") as f:
         payload = f.read()
     with open(saved_checkpoint + ".bin", "wb") as f:
-        f.write(payload[:-1000])
-    with open(saved_checkpoint + ".json") as f:
-        last = max(json.load(f)["tensors"], key=lambda t: t["offset"])["name"]
-    with pytest.raises(CheckpointError, match=f"'{last}'.*ckpt.bin"):
+        f.write(edit(payload))
+    wrong = len(edit(payload))
+    with pytest.raises(CheckpointError, match=f"ckpt.bin: holds {wrong} bytes.* {len(payload)}"):
         load_checkpoint(saved_checkpoint)
+
+
+def test_save_checkpoint_rejects_params_the_config_does_not_describe(tmp_path):
+    # the payload stores no shapes, so a transposed tensor of the same size
+    # would load silently reshaped
+    ckpt = train(synthetic_examples(6), [], DESK_SMALL, TrainConfig(epochs=0)).final
+    ckpt.params["head.w_c"] = np.ascontiguousarray(ckpt.params["head.w_c"].T)
+    with pytest.raises(ShapeMismatchError):
+        save_checkpoint(ckpt, str(tmp_path / "ckpt"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_best_checkpoint_states_its_own_step_once(tmp_path):
+    # dev F peaks at epoch 4 of 6: the best checkpoint is not the final one
+    examples = synthetic_examples(40)
+    result = train(examples[:30], examples[30:], DESK_SMALL,
+                   TrainConfig(learning_rate=1e-2, epochs=6, batch_size=8, seed=1))
+    best_epoch = result.best.metrics["epoch"]
+    assert best_epoch < len(result.log)
+    base = str(tmp_path / "ckpt.best")
+    save_checkpoint(result.best, base)
+    with open(base + ".json") as f:
+        manifest = json.load(f)
+    assert "step" not in manifest
+    assert manifest["metrics"]["step"] == result.log[best_epoch - 1]["step"]
+    assert manifest["metrics"]["step"] < result.final.metrics["step"]
+    assert load_checkpoint(base).metrics == manifest["metrics"]
