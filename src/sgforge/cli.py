@@ -264,6 +264,8 @@ def _cmd_train(args) -> int:
         region = regions[(train_pos + dev_pos)[e.position]]
         raise SequenceTooLongError(
             _too_long(args.regions, region.region_id, e.tokens, model_cfg.max_len)) from None
+    except ConfigError as e:  # the model config is too large for the tokenizer's vocabulary
+        raise ConfigError(f"{args.model_config or 'model config'}: {e}") from None
     train.save_checkpoint(result.final, args.out)
     train.save_checkpoint(result.best, args.out + ".best")
     return 0

@@ -27,6 +27,11 @@ from .tokenizer import PAD_ID, TokenSequence, Tokenizer
 Params = dict[str, np.ndarray]
 
 
+# The largest model a config may describe: 800 MB per float32 copy, of which
+# training holds about six. A GPT-1-sized backbone (about 117M) fits.
+MAX_PARAMS = 200_000_000
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -48,37 +53,38 @@ class ModelConfig:
             raise ValueError(f"tokenizer_mode must be 'word' or 'bpe', got {self.tokenizer_mode!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        top, layer = _shapes(self)
+        n = sum(map(math.prod, top.values())) + self.n_layers * sum(map(math.prod, layer.values()))
+        if n > MAX_PARAMS:
+            raise ValueError(f"the model would have {n:,} parameters, more than {MAX_PARAMS:,}")
 
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Logits of one example; inside the batched path the same blocks carry a
-    leading batch axis and right padding."""
+    """Logits of one example. `_forward` returns them for a whole batch with a
+    leading batch axis and right padding, though its backbone computes on the
+    packed real tokens only."""
 
     class_logits: np.ndarray  # (T, N_NODE_TYPES)
     parent_logits: np.ndarray  # (T, T+1), column 0 is ROOT
 
 
+def _shapes(cfg: ModelConfig):
+    """Top-level shapes, and one layer's shapes named without the layer prefix."""
+    d, f = cfg.d_model, cfg.d_ff
+    top = {"tok_emb": (cfg.vocab_size, d), "pos_emb": (cfg.max_len + 1, d),
+           "head.w_q": (d, cfg.d_qk), "head.w_k": (d, cfg.d_qk), "head.w_c": (d, N_NODE_TYPES)}
+    layer = {"attn.w_qkv": (d, 3 * d), "attn.b_qkv": (3 * d,), "attn.w_o": (d, d),
+             "attn.b_o": (d,), "ln1.g": (d,), "ln1.b": (d,), "ffn.w1": (d, f), "ffn.b1": (f,),
+             "ffn.w2": (f, d), "ffn.b2": (d,), "ln2.g": (d,), "ln2.b": (d,)}
+    return top, layer
+
+
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every parameter tensor, in initialisation order."""
-    d, f = cfg.d_model, cfg.d_ff
-    shapes = {
-        "tok_emb": (cfg.vocab_size, d),
-        "pos_emb": (cfg.max_len + 1, d),
-        "head.w_q": (d, cfg.d_qk),
-        "head.w_k": (d, cfg.d_qk),
-        "head.w_c": (d, N_NODE_TYPES),
-    }
+    shapes, layer = _shapes(cfg)
     for l in range(cfg.n_layers):
-        pre = f"layer{l}."
-        shapes.update({
-            pre + "attn.w_qkv": (d, 3 * d), pre + "attn.b_qkv": (3 * d,),
-            pre + "attn.w_o": (d, d), pre + "attn.b_o": (d,),
-            pre + "ln1.g": (d,), pre + "ln1.b": (d,),
-            pre + "ffn.w1": (d, f), pre + "ffn.b1": (f,),
-            pre + "ffn.w2": (f, d), pre + "ffn.b2": (d,),
-            pre + "ln2.g": (d,), pre + "ln2.b": (d,),
-        })
+        shapes.update((f"layer{l}.{name}", shape) for name, shape in layer.items())
     return shapes
 
 
@@ -98,70 +104,87 @@ def init_params(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Params:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
-# Both GELU functions use products instead of powers (float32 pow is slow)
-# and work in place, so a call makes at most two full-size temporaries.
 
-
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh form) of x, and its tanh term for `gelu_grad`. Both functions
+    use products, not powers (float32 pow is slow), and work in place."""
     t = x * x
     t *= _GELU_A
     t += 1.0
     t *= x
     t *= _GELU_C
     np.tanh(t, out=t)  # tanh(c * (x + a * x^3))
-    t += 1.0
-    t *= x
-    t *= 0.5
-    return t
+    g = t + 1.0
+    g *= x
+    g *= 0.5
+    return g, t
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = x * x
-    s = t * (3.0 * _GELU_A)
-    t *= _GELU_A
-    t += 1.0
-    t *= x
-    t *= _GELU_C
-    np.tanh(t, out=t)
+def gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative of GELU at x, given the tanh term t that `gelu` returned."""
+    s = x * x
+    s *= 3.0 * _GELU_A
     s += 1.0
     s *= x
     s *= 0.5 * _GELU_C  # s = c/2 * x * (1 + 3a * x^2)
     # 0.5 * (1 + t) + s * (1 - t^2) == (1 + t) * (0.5 + s * (1 - t))
-    np.subtract(1.0, t, out=t)
-    s *= t
+    u = 1.0 - t
+    s *= u
     s += 0.5
-    np.subtract(2.0, t, out=t)
-    t *= s
-    return t
+    np.subtract(2.0, u, out=u)
+    u *= s
+    return u
 
 
 _LN_EPS = 1e-5
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    y = (x - mu) * inv
-    return g * y + b, (y, inv)
+    y = x - x.mean(axis=-1, keepdims=True)
+    out = y * y
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + _LN_EPS)
+    y *= inv
+    np.multiply(y, g, out=out)
+    out += b
+    return out, (y, inv)
 
 
 def _layer_norm_backward(dout: np.ndarray, cache, g: np.ndarray):
     """Backward of `_layer_norm` over (rows, d) arrays."""
     y, inv = cache
-    dg = (dout * y).sum(axis=0)
+    t = dout * y
+    dg = t.sum(axis=0)
     db = dout.sum(axis=0)
-    dy = dout * g
-    dx = inv * (dy - dy.mean(axis=-1, keepdims=True) - y * (dy * y).mean(axis=-1, keepdims=True))
+    dx = dout * g  # dy, turned into dx in place
+    np.multiply(dx, y, out=t)
+    np.multiply(y, t.mean(axis=-1, keepdims=True), out=t)
+    dx -= dx.mean(axis=-1, keepdims=True)
+    dx -= t
+    dx *= inv
     return dx, dg, db
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, with the bias added in place."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _scatter(rows: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """A zeroed (n, ...) array, of the dtype of `values`, holding them at `rows`."""
+    out = np.zeros((n, *values.shape[1:]), dtype=values.dtype)
+    out[rows] = values
+    return out
 
 
 def _affine_grads(x: np.ndarray, dy: np.ndarray):
@@ -185,46 +208,90 @@ def _pad(cfg: ModelConfig, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.nd
     return _rows([seq.ids for seq in seqs], lengths.max(), PAD_ID), lengths
 
 
+def _block(params: Params, cfg: ModelConfig, pre: str, x: np.ndarray, real: np.ndarray,
+           B: int, L: int, causal: np.ndarray, caches: list | None) -> np.ndarray:
+    """One layer (attention, then GELU feed-forward) on the packed rows x of a
+    (B, L) batch; with `caches`, appends what `_block_backward` needs."""
+    d, nh, dh = cfg.d_model, cfg.n_heads, cfg.d_model // cfg.n_heads
+    qkv = _scatter(real, _affine(x, params[pre + "attn.w_qkv"], params[pre + "attn.b_qkv"]), B * L)
+    qh, kh, vh = qkv.reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (B, nh, L, dh)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores /= math.sqrt(dh)
+    scores += causal
+    probs = softmax(scores)
+    ctx_cat = (probs @ vh).transpose(0, 2, 1, 3).reshape(B * L, d)[real]
+    r1 = _affine(ctx_cat, params[pre + "attn.w_o"], params[pre + "attn.b_o"])
+    r1 += x
+    x_mid, ln1 = _layer_norm(r1, params[pre + "ln1.g"], params[pre + "ln1.b"])
+    u = _affine(x_mid, params[pre + "ffn.w1"], params[pre + "ffn.b1"])
+    act, tanh = gelu(u)
+    r2 = _affine(act, params[pre + "ffn.w2"], params[pre + "ffn.b2"])
+    r2 += x_mid
+    out, ln2 = _layer_norm(r2, params[pre + "ln2.g"], params[pre + "ln2.b"])
+    if caches is not None:
+        caches.append(dict(a_in=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx_cat=ctx_cat, ln1=ln1,
+                           x_mid=x_mid, u=u, tanh=tanh, act=act, ln2=ln2))
+    return out
+
+
+def _block_backward(params: Params, cfg: ModelConfig, pre: str, dx: np.ndarray, c: dict,
+                    real: np.ndarray, B: int, L: int, grads: Params) -> np.ndarray:
+    """Backward of `_block` from the gradient of its output rows: fills the
+    layer's entries of `grads` and returns the gradient of its input rows."""
+    d, nh, dh = cfg.d_model, cfg.n_heads, cfg.d_model // cfg.n_heads
+    dr2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
+        dx, c["ln2"], params[pre + "ln2.g"])
+    grads[pre + "ffn.w2"], grads[pre + "ffn.b2"] = _affine_grads(c["act"], dr2)
+    du = dr2 @ params[pre + "ffn.w2"].T
+    du *= gelu_grad(c["u"], c["tanh"])
+    grads[pre + "ffn.w1"], grads[pre + "ffn.b1"] = _affine_grads(c["x_mid"], du)
+    dx_mid = du @ params[pre + "ffn.w1"].T
+    dx_mid += dr2
+    dr1, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
+        dx_mid, c["ln1"], params[pre + "ln1.g"])
+    grads[pre + "attn.w_o"], grads[pre + "attn.b_o"] = _affine_grads(c["ctx_cat"], dr1)
+    dctx = _scatter(real, dr1 @ params[pre + "attn.w_o"].T, B * L).reshape(B, L, nh, dh)
+    dctx = dctx.swapaxes(1, 2)  # (B, nh, L, dh)
+    probs = c["probs"]
+    dscores = dctx @ c["vh"].swapaxes(-1, -2)  # dprobs, turned into dscores in place
+    dvh = probs.swapaxes(-1, -2) @ dctx
+    dscores -= np.sum(dscores * probs, axis=-1, keepdims=True)
+    dscores *= probs
+    dscores /= math.sqrt(dh)
+    dqh = dscores @ c["kh"]
+    dkh = dscores.swapaxes(-1, -2) @ c["qh"]
+    dqkv = np.stack([dqh, dkh, dvh]).transpose(1, 3, 0, 2, 4).reshape(B * L, 3 * d)[real]
+    grads[pre + "attn.w_qkv"], grads[pre + "attn.b_qkv"] = _affine_grads(c["a_in"], dqkv)
+    dx = dqkv @ params[pre + "attn.w_qkv"].T
+    dx += dr1
+    return dx
+
+
 def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndarray,
              caches: list | None = None):
     """Backbone and head on a right-padded (B, L) batch; with `caches`, each
     layer appends what its backward pass needs.
 
-    The residual stream is one (B*L, d) array, so every dense projection is a
-    single 2D matrix product; only attention and the parent logits reshape to
-    a per-example axis. The backbone is causal and padding is on the right, so
-    no real position attends to a padded one; only the bidirectional parent
-    logits need a mask, -inf on padded columns.
+    The residual stream packs the real tokens into one (N, d) array: row i is
+    flat position real[i] of the batch. Dense layers, layer norms and GELU see
+    real rows only; attention and the head scatter to a zeroed (B*L, ...)
+    array for their per-example axis. The backbone is causal and padding is
+    on the right, so only the bidirectional parent logits need a mask.
     """
     B, L = ids.shape
-    d, nh = cfg.d_model, cfg.n_heads
-    dh = d // nh
-    x = (params["tok_emb"][ids] + params["pos_emb"][:L]).reshape(B * L, d)
-    causal = np.tril(np.ones((L, L), dtype=bool))
+    real = np.flatnonzero(np.arange(L) < lengths[:, None])
+    x = params["tok_emb"][ids.ravel()[real]] + params["pos_emb"][real % L]
+    causal = np.triu(np.full((L, L), -np.inf, dtype=x.dtype), 1)
     for l in range(cfg.n_layers):
-        pre = f"layer{l}."
-        a_in = x
-        qkv = a_in @ params[pre + "attn.w_qkv"] + params[pre + "attn.b_qkv"]
-        qh, kh, vh = qkv.reshape(B, L, 3, nh, dh).transpose(2, 0, 3, 1, 4)  # (B, nh, L, dh)
-        scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(dh)
-        probs = softmax(np.where(causal, scores, -np.inf), axis=-1)
-        ctx_cat = (probs @ vh).transpose(0, 2, 1, 3).reshape(B * L, d)
-        r1 = a_in + (ctx_cat @ params[pre + "attn.w_o"] + params[pre + "attn.b_o"])
-        x_mid, ln1_cache = _layer_norm(r1, params[pre + "ln1.g"], params[pre + "ln1.b"])
-        u = x_mid @ params[pre + "ffn.w1"] + params[pre + "ffn.b1"]
-        r2 = x_mid + (gelu(u) @ params[pre + "ffn.w2"] + params[pre + "ffn.b2"])
-        x, ln2_cache = _layer_norm(r2, params[pre + "ln2.g"], params[pre + "ln2.b"])
-        if caches is not None:
-            caches.append(dict(a_in=a_in, qh=qh, kh=kh, vh=vh, probs=probs,
-                               ctx_cat=ctx_cat, ln1=ln1_cache, u=u, ln2=ln2_cache))
-    hidden = x  # (B*L, d); the head also scores the ROOT rows, then drops them
+        x = _block(params, cfg, f"layer{l}.", x, real, B, L, causal, caches)
+    hidden = _scatter(real, x, B * L)  # the head also scores the ROOT rows, then drops them
     class_logits = (hidden @ params["head.w_c"]).reshape(B, L, -1)[:, 1:]
     q_head = (hidden @ params["head.w_q"]).reshape(B, L, -1)[:, 1:]
     k_head = (hidden @ params["head.w_k"]).reshape(B, L, -1)
-    parent_logits = q_head @ k_head.swapaxes(1, 2) / math.sqrt(cfg.d_qk)
-    padded_col = np.arange(L) >= lengths[:, None, None]
-    parent_logits = np.where(padded_col, -np.inf, parent_logits)
-    return ModelOutputs(class_logits, parent_logits), hidden, q_head, k_head
+    parent_logits = q_head @ k_head.swapaxes(1, 2)
+    parent_logits /= math.sqrt(cfg.d_qk)
+    np.copyto(parent_logits, -np.inf, where=np.arange(L) >= lengths[:, None, None])
+    return ModelOutputs(class_logits, parent_logits), real, x, q_head, k_head
 
 
 def forward(params: Params, cfg: ModelConfig, seqs: list[TokenSequence]) -> list[ModelOutputs]:
@@ -338,14 +405,9 @@ def loss_output_grads(
     return d_class, d_parent
 
 
-def loss_and_grads(
-    params: Params,
-    cfg: ModelConfig,
-    seqs: list[TokenSequence],
-    types: list[np.ndarray],
-    parents: list[np.ndarray],
-    loss_weight: float,
-) -> tuple[float, Params]:
+def loss_and_grads(params: Params, cfg: ModelConfig, seqs: list[TokenSequence],
+                   types: list[np.ndarray], parents: list[np.ndarray],
+                   loss_weight: float) -> tuple[float, Params]:
     """Mean loss over a batch of sequences (one target array pair each) and
     its exact gradients for every parameter tensor."""
     ids, lengths = _pad(cfg, seqs)
@@ -356,71 +418,39 @@ def loss_and_grads(
     tgt_types = _rows(types, L - 1, -1)
     tgt_parents = _rows(parents, L - 1, 0)
     caches: list[dict] = []
-    outputs, hidden, q_head, k_head = _forward(params, cfg, ids, lengths, caches)
+    outputs, real, hidden, q_head, k_head = _forward(params, cfg, ids, lengths, caches)
     class_term, parent_term = loss_terms(outputs, tgt_types, tgt_parents)
     loss = float(np.mean(class_term + loss_weight * parent_term))
     d_class, d_parent = loss_output_grads(outputs, tgt_types, tgt_parents, loss_weight)
     d_class /= B
     d_parent /= B
 
-    # Padded rows get exactly zero gradient from the head, and causality keeps
-    # it zero through every layer, so they add nothing to any parameter. The
-    # ROOT rows get none from the class and query projections.
+    # Padded rows get exactly zero gradient from the head, so the backward keeps
+    # only the real rows. ROOT rows get none from the class and query heads.
     grads: Params = {}
-    d, nh = cfg.d_model, cfg.n_heads
-    dh = d // nh
     s = 1.0 / math.sqrt(cfg.d_qk)
     dc_head = np.zeros((B, L, d_class.shape[-1]), dtype=d_class.dtype)
     dc_head[:, 1:] = d_class
     dq_head = np.zeros((B, L, cfg.d_qk), dtype=d_parent.dtype)
     dq_head[:, 1:] = s * (d_parent @ k_head)
     dk_head = s * (d_parent.swapaxes(1, 2) @ q_head)
-    dc_head, dq_head, dk_head = (a.reshape(B * L, -1) for a in (dc_head, dq_head, dk_head))
+    dc_head, dq_head, dk_head = (a.reshape(B * L, -1)[real] for a in (dc_head, dq_head, dk_head))
     grads["head.w_c"] = hidden.T @ dc_head
     grads["head.w_q"] = hidden.T @ dq_head
     grads["head.w_k"] = hidden.T @ dk_head
     dx = dc_head @ params["head.w_c"].T + dq_head @ params["head.w_q"].T
     dx += dk_head @ params["head.w_k"].T
-
-    for l in reversed(range(cfg.n_layers)):
-        pre = f"layer{l}."
-        c = caches.pop()  # free each layer's cache once its backward has run
-        dr2, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layer_norm_backward(
-            dx, c["ln2"], params[pre + "ln2.g"]
-        )
-        # x_mid and gelu(u) are recomputed, not cached, to keep peak memory down
-        x_mid = params[pre + "ln1.g"] * c["ln1"][0] + params[pre + "ln1.b"]
-        grads[pre + "ffn.w2"], grads[pre + "ffn.b2"] = _affine_grads(gelu(c["u"]), dr2)
-        du = dr2 @ params[pre + "ffn.w2"].T
-        du *= gelu_grad(c["u"])
-        grads[pre + "ffn.w1"], grads[pre + "ffn.b1"] = _affine_grads(x_mid, du)
-        dx_mid = dr2 + du @ params[pre + "ffn.w1"].T
-        dr1, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layer_norm_backward(
-            dx_mid, c["ln1"], params[pre + "ln1.g"]
-        )
-        grads[pre + "attn.w_o"], grads[pre + "attn.b_o"] = _affine_grads(c["ctx_cat"], dr1)
-        dctx = (dr1 @ params[pre + "attn.w_o"].T).reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-        probs = c["probs"]
-        dprobs = dctx @ c["vh"].swapaxes(-1, -2)
-        dvh = probs.swapaxes(-1, -2) @ dctx
-        dscores = probs * (dprobs - np.sum(dprobs * probs, axis=-1, keepdims=True))
-        dscores /= math.sqrt(dh)
-        dqh = dscores @ c["kh"]
-        dkh = dscores.swapaxes(-1, -2) @ c["qh"]
-        dqkv = np.stack([dqh, dkh, dvh]).transpose(1, 3, 0, 2, 4).reshape(B * L, 3 * d)
-        grads[pre + "attn.w_qkv"], grads[pre + "attn.b_qkv"] = _affine_grads(c["a_in"], dqkv)
-        dx = dr1 + dqkv @ params[pre + "attn.w_qkv"].T
-
+    for l in reversed(range(cfg.n_layers)):  # pop frees each layer's cache after its backward
+        dx = _block_backward(params, cfg, f"layer{l}.", dx, caches.pop(), real, B, L, grads)
     grads["tok_emb"] = np.zeros_like(params["tok_emb"])
-    np.add.at(grads["tok_emb"], ids.ravel(), dx)
+    np.add.at(grads["tok_emb"], ids.ravel()[real], dx)
     grads["pos_emb"] = np.zeros_like(params["pos_emb"])
-    grads["pos_emb"][:L] = dx.reshape(B, L, d).sum(axis=0)
+    np.add.at(grads["pos_emb"], real % L, dx)
     return loss, grads
 
 
-def read_tags(
-    outputs: ModelOutputs, words: list[str], word_heads: tuple[int, ...]
-) -> TaggedSentence:
+def read_tags(outputs: ModelOutputs, words: list[str],
+              word_heads: tuple[int, ...]) -> TaggedSentence:
     """Greedy readout: argmax node type per word head, argmax parent over
     word-head positions and ROOT. Ties break toward the lowest index; parents
     are reported as word indices, not subword positions."""

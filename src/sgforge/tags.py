@@ -44,11 +44,6 @@ _LEGAL_PARENTS = {
 }
 
 
-def arc_legal(child: NodeType, parent_kind) -> bool:
-    """True iff an arc from a child of this type may point at that parent kind."""
-    return parent_kind in _LEGAL_PARENTS[child]
-
-
 class TaggedToken(NamedTuple):
     index: int  # 1-based sentence position
     form: str
@@ -110,15 +105,14 @@ DROP_REASONS = frozenset(
 class DecodeReport:
     graph: SceneGraph
     dropped_arcs: tuple[tuple[int, str], ...]  # (child token index, reason)
-    merged_phrases: tuple[tuple[int, tuple[int, ...]], ...]  # (head index, piece indices)
 
 
 def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
     """Deterministically decode a tagged sentence into a scene graph.
 
     SAME tokens merge into the phrase of the first non-SAME token up their
-    parent chain; SUBJ/OBJT tokens become object nodes; arcs that pass
-    arc_legal against their chain's head attach; attached ATTR tokens emit
+    parent chain; SUBJ/OBJT tokens become object nodes; arcs whose chain head
+    is of a kind `_LEGAL_PARENTS` allows attach; attached ATTR tokens emit
     attribute pairs and full OBJT -> PRED -> SUBJ spines emit relations.
     A token is dropped for at most one reason, the first it meets in that
     order, and each drop becomes a dropped_arcs entry; decoding never raises.
@@ -181,9 +175,7 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
     drops.update((i, NO_OBJECT) for i in attached if kinds[i] is NodeType.PRED and i not in preds)
 
     objects = [(i, labels[i]) for i in labels if kinds[i] in (NodeType.SUBJ, NodeType.OBJT)]
-    graph = build_graph(objects, attributes, relations)
-    merged_phrases = tuple((h, tuple(p)) for h, p in sorted(pieces.items()))
-    return DecodeReport(graph, tuple(sorted(drops.items())), merged_phrases)
+    return DecodeReport(build_graph(objects, attributes, relations), tuple(sorted(drops.items())))
 
 
 # CONLL layout: INDEX, FORM, HEAD, ARC_LABEL, NODE_TYPE, tab-separated.

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     CheckpointError,
+    ConfigError,
     EmptyDatasetError,
     SequenceTooLongError,
     ShapeMismatchError,
@@ -288,7 +289,10 @@ def train(
     tokenizer = Tokenizer.from_corpus(
         [ex.description for ex in train_examples], mode=model_cfg.tokenizer_mode
     )
-    model_cfg = replace(model_cfg, vocab_size=tokenizer.vocab_size)
+    try:
+        model_cfg = replace(model_cfg, vocab_size=tokenizer.vocab_size)
+    except ValueError as e:  # only the parameter cap depends on vocab_size
+        raise ConfigError(f"with a vocabulary of {tokenizer.vocab_size} tokens, {e}") from None
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(model_cfg, seed=train_cfg.seed)
     train_enc = _encode_examples(tokenizer, train_examples)

@@ -10,6 +10,7 @@ from sgforge import __version__
 from sgforge.cli import run
 from sgforge.data import ingest
 from sgforge.graph import extract_tuples
+from sgforge.model import MAX_PARAMS
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -315,6 +316,7 @@ def aligned(tmp_path_factory):
      "unknown split spec keys: ['holdout_ids']"),
     ("--train-config", {"learning_rate": math.nan}, "learning_rate"),
     ("--train-config", {"learning_rate": math.inf}, "learning_rate"),
+    ("--model-config", {"d_model": 100_000}, "parameters, more than 200,000,000"),
 ])
 def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config, field):
     regions_file, conll_file = aligned
@@ -329,6 +331,25 @@ def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config,
     assert code == 2
     assert field in captured.err and str(cfg) in captured.err
     assert "Traceback" not in captured.err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_train_model_too_large_for_its_vocabulary_is_data_error(aligned, tmp_path, capsys):
+    # without the vocabulary the model is just under the parameter cap: n_layers 0
+    # and the default max_len 32 and d_qk 64 give 33 + 2 * 64 + 6 params per d_model
+    regions_file, conll_file = aligned
+    d_model = MAX_PARAMS // 167 // 4 * 4
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_model": d_model, "n_layers": 0}))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    code = run(["train", "--conll", conll_file, "--regions", regions_file,
+                "--model-config", str(cfg), "--out", str(out_dir / "ckpt")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"sgforge: {cfg}: with a vocabulary of ")
+    assert "parameters, more than 200,000,000" in err and err.count("\n") == 1
     assert list(out_dir.iterdir()) == []
 
 

@@ -21,7 +21,7 @@ from sgforge.tags import (
     NodeType,
     TaggedSentence,
     TaggedToken,
-    arc_legal,
+    _LEGAL_PARENTS,
     decode_tags_to_graph,
     read_conll,
     tagged,
@@ -47,7 +47,7 @@ def test_arc_legality_table():
     }
     for child in T:
         for parent in (ROOT,) + tuple(T):
-            assert arc_legal(child, parent) == ((child, parent) in legal)
+            assert (parent in _LEGAL_PARENTS[child]) == ((child, parent) in legal)
 
 
 def test_decode_attributes():
@@ -82,7 +82,7 @@ def test_decode_same_phrase_merges_left_to_right():
         )
     )
     assert report.graph.relations == ((1, "in front of", 5),)
-    assert report.merged_phrases == ((4, (2, 3)),)
+    assert [o.label for o in report.graph.objects] == ["man", "car"]
 
 
 def test_decode_self_reference_keeps_node():
@@ -97,7 +97,6 @@ def test_decode_same_chain_resolves_transitively():
         tagged([("big", T.SAME, 2), ("red", T.SAME, 3), ("bus", T.SUBJ, 0)])
     )
     assert report.graph.objects[0].label == "big red bus"
-    assert report.merged_phrases == ((3, (1, 2)),)
 
 
 def test_decode_same_cycle_dropped():
@@ -400,10 +399,12 @@ def test_write_conll_equals_reference(sents):
     assert write_conll(sents) == write_conll_reference(sents)
 
 
-def surface(sent, report, index):
-    pieces = dict(report.merged_phrases).get(index, ())
+def surface(sent, index):
+    """The forms of a phrase head and of the SAME tokens whose chains reach it."""
+    same_head, _ = resolve_same_chains_reference(sent)
+    pieces = [i for i, head in same_head.items() if head == index]
     forms = {t.index: t.form for t in sent}
-    return " ".join(forms[i] for i in sorted(pieces + (index,)))
+    return " ".join(forms[i] for i in sorted(pieces + [index]))
 
 
 @given(tagged_sentences())
@@ -425,7 +426,7 @@ def test_decode_totality_and_legality(sent):
     attr_pairs = set(report.graph.attributes)
     for t in sent:
         if types[t.index] is T.ATTR and t.index not in dropped:
-            assert any(label == surface(sent, report, t.index) for _, label in attr_pairs)
+            assert any(label == surface(sent, t.index) for _, label in attr_pairs)
     for _, reason in report.dropped_arcs:
         assert reason in DROP_REASONS
 
@@ -435,23 +436,13 @@ def test_decode_deterministic(sent):
     assert decode_tags_to_graph(sent) == decode_tags_to_graph(sent)
 
 
-# Reference decoder: four phases, with a hand-written SAME-chain loop in the
-# first and a separate same_head lookup in the third. decode_tags_to_graph
-# must return an equal report for every sentence.
-def decode_tags_to_graph_reference(sent: TaggedSentence) -> DecodeReport:
-    """Deterministically decode a tagged sentence into a scene graph.
-
-    Four phases: resolve SAME chains into merged surface forms, create object
-    nodes for SUBJ/OBJT tokens, attach arcs that pass arc_legal against the
-    resolved parent type, then emit attribute pairs and relation triples.
-    Failures become dropped_arcs entries; decoding never raises.
-    """
+def resolve_same_chains_reference(sent: TaggedSentence):
+    """Phase 1 of the reference decoder: follow parent chains through SAME
+    tokens until a non-SAME head; chains hitting ROOT, NONE, or exceeding T
+    hops drop. Returns {SAME token: its head} and the drops."""
     toks = {t.index: t for t in sent}
     t_count = len(sent)
     dropped: list[tuple[int, str]] = []
-
-    # Phase 1: SAME resolution. Follow parent chains through SAME tokens until
-    # a non-SAME head; chains hitting ROOT, NONE, or exceeding T hops drop.
     same_head: dict[int, int] = {}
     for tok in sent:
         if tok.node_type is not NodeType.SAME:
@@ -480,13 +471,25 @@ def decode_tags_to_graph_reference(sent: TaggedSentence) -> DecodeReport:
             hops += 1
         if reason is not None:
             dropped.append((tok.index, reason))
+    return same_head, dropped
 
+
+# Reference decoder: four phases, with a hand-written SAME-chain loop in the
+# first and a separate same_head lookup in the third. decode_tags_to_graph
+# must return an equal report for every sentence.
+def decode_tags_to_graph_reference(sent: TaggedSentence) -> DecodeReport:
+    """Deterministically decode a tagged sentence into a scene graph.
+
+    Four phases: resolve SAME chains into merged surface forms, create object
+    nodes for SUBJ/OBJT tokens, attach arcs whose resolved parent type the
+    legality table allows, then emit attribute pairs and relation triples.
+    Failures become dropped_arcs entries; decoding never raises.
+    """
+    toks = {t.index: t for t in sent}
+    same_head, dropped = resolve_same_chains_reference(sent)
     pieces: dict[int, list[int]] = {}
     for piece, head in same_head.items():
         pieces.setdefault(head, []).append(piece)
-    merged_phrases = tuple(
-        (head, tuple(sorted(pieces[head]))) for head in sorted(pieces)
-    )
 
     def surface_label(index: int) -> str | None:
         parts = sorted(pieces.get(index, []) + [index])
@@ -535,7 +538,7 @@ def decode_tags_to_graph_reference(sent: TaggedSentence) -> DecodeReport:
                 dropped.append((tok.index, ILLEGAL_ARC))
                 continue
             parent = resolved
-        if parent not in labels or not arc_legal(kind, toks[parent].node_type):
+        if parent not in labels or toks[parent].node_type not in _LEGAL_PARENTS[kind]:
             dropped.append((tok.index, ILLEGAL_ARC))
             continue
         attached[tok.index] = parent
@@ -570,7 +573,7 @@ def decode_tags_to_graph_reference(sent: TaggedSentence) -> DecodeReport:
         attributes,
         relations,
     )
-    return DecodeReport(graph, tuple(sorted(dropped)), merged_phrases)
+    return DecodeReport(graph, tuple(sorted(dropped)))
 
 
 def all_sentences(max_tokens, forms):
