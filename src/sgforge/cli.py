@@ -20,6 +20,7 @@ from .data import (
     SyntheticGrammar,
     generate_synthetic,
     ingest,
+    object_with_keys,
     split,
     write_regions,
 )
@@ -202,19 +203,9 @@ def _cmd_align(args) -> int:
 
 
 def _apply_overrides(defaults: dict, path: str | None) -> dict:
-    if path is None:
-        return defaults
-    overrides = _load(path, json.loads)
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"{path}: expected a JSON object")
-    unknown = set(overrides) - set(defaults)
-    if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {sorted(unknown)}")
-    for key, value in overrides.items():
-        want = type(defaults[key])
-        if not (type(value) is want or (want is float and type(value) is int)):
-            raise ConfigError(f"{path}: {key} must be {want.__name__}, got {json.dumps(value)}")
-    defaults.update(overrides)
+    """defaults updated from the file; the config class checks the types."""
+    if path is not None:
+        defaults.update(_load(path, lambda text: object_with_keys(text, "config", defaults)))
     return defaults
 
 

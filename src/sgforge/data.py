@@ -1,5 +1,8 @@
 """Region datasets: JSONL ingestion, image-id splits, and a synthetic corpus.
 
+The one codec of region records, split specs and grammars, and of the JSON
+value rules that the configs and the CLI share.
+
 The synthetic generator exists so the whole pipeline can be exercised at desk
 scale: every generated region aligns to its graph with coverage 1.0, so the
 oracle upper bound is exactly 1.0 and any score gap is model error.
@@ -10,16 +13,23 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .align import STOPWORDS
 from .errors import DanglingReferenceError, EmptyLabelError
-from .graph import SceneGraph, build_graph, graph_from_dict, graph_to_dict, json_int
+from .graph import SceneGraph, build_graph
 
 _BLANK_PHRASE = "empty region description"
 
 
-def _object_with_keys(text: str, kind: str, keys: tuple[str, ...]) -> dict:
+def json_int(value, field: str) -> int:
+    """value, if it is a JSON integer; a bool, float or string is a TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"{field} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def object_with_keys(text: str, kind: str, keys) -> dict:
     """Parse a JSON object that may hold only the given keys."""
     d = json.loads(text)
     if not isinstance(d, dict):
@@ -28,6 +38,21 @@ def _object_with_keys(text: str, kind: str, keys: tuple[str, ...]) -> dict:
     if unknown:
         raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
     return d
+
+
+_FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                "str": ((str,), "a string")}
+
+
+def check_field_types(config) -> None:
+    """Raise TypeError unless each field of the dataclass `config` holds its
+    JSON type: an int field an integer (`true` is not one), a float field an
+    integer or a float, a str field a string."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        types, what = _FIELD_TYPES[f.type]
+        if type(value) not in types:
+            raise TypeError(f"{f.name} must be {what}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +75,29 @@ class SplitSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
-        d = _object_with_keys(text, "split spec", ("train_image_ids", "eval_image_ids"))
-        return cls(frozenset(d["train_image_ids"]), frozenset(d["eval_image_ids"]))
+        keys = ("train_image_ids", "eval_image_ids")
+        d = object_with_keys(text, "split spec", keys)
+        for key in keys:
+            if not isinstance(d[key], list):
+                raise TypeError(f"{key} must be a list of integers, got {json.dumps(d[key])}")
+        return cls(*(frozenset(json_int(i, f"an id in {key}") for i in d[key]) for key in keys))
+
+
+def _uint(value, field: str) -> int:
+    if type(value) is not int or value < 0:
+        json_int(value, field)  # a TypeError for a non-integer
+        raise ValueError(f"object ids must be non-negative, got {value}")
+    return value
+
+
+def _label(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"labels must be strings, got {value!r}")
+    return value
 
 
 def region_from_dict(record: dict) -> Region:
+    """A region record as `write_regions` writes it, or with `relations`."""
     if not isinstance(record, dict):
         raise TypeError(f"a region record must be a JSON object, not {type(record).__name__}")
     phrase = record.get("phrase", "")
@@ -62,7 +105,13 @@ def region_from_dict(record: dict) -> Region:
         raise TypeError(f"phrase must be a string, got {phrase!r}")
     if not phrase.strip():
         raise EmptyLabelError(_BLANK_PHRASE)
-    graph = graph_from_dict(record)
+    graph = build_graph(
+        [(_uint(o["id"], "object id"), _label(o["label"])) for o in record.get("objects", [])],
+        [(_uint(oid, "attribute object id"), _label(label))
+         for oid, label in record.get("attributes", [])],
+        [(_uint(sid, "relation subject id"), _label(label), _uint(oid, "relation object id"))
+         for sid, label, oid in record.get("relations", record.get("relationships", []))],
+    )
     return Region(json_int(record["image_id"], "image_id"),
                   json_int(record["region_id"], "region_id"), phrase, graph)
 
@@ -98,26 +147,26 @@ def split(regions: list[Region], spec: SplitSpec) -> tuple[list[int], list[int]]
     return train, eval_
 
 
-DEFAULT_OBJECTS = (
-    "bus", "cat", "dog", "man", "woman", "car", "tree", "house",
-    "bird", "horse", "table", "kite",
-)
-DEFAULT_ATTRIBUTES = (
-    "blue", "red", "green", "tall", "small", "old", "shiny", "dark",
-    "round", "striped",
-)
-# multi-word relations exercise SAME resolution end to end
-DEFAULT_RELATIONS = (
-    "on", "under", "behind", "beside", "holds", "above",
-    "in front of", "next to",
-)
+# grammar file key -> SyntheticGrammar field, for the keys that hold lists
+_GRAMMAR_LISTS = {"objects": "object_vocab", "attributes": "attribute_vocab",
+                  "relations": "relation_vocab", "pattern_weights": "pattern_weights"}
 
 
 @dataclass(frozen=True)
 class SyntheticGrammar:
-    object_vocab: tuple[str, ...] = DEFAULT_OBJECTS
-    attribute_vocab: tuple[str, ...] = DEFAULT_ATTRIBUTES
-    relation_vocab: tuple[str, ...] = DEFAULT_RELATIONS
+    object_vocab: tuple[str, ...] = (
+        "bus", "cat", "dog", "man", "woman", "car", "tree", "house",
+        "bird", "horse", "table", "kite",
+    )
+    attribute_vocab: tuple[str, ...] = (
+        "blue", "red", "green", "tall", "small", "old", "shiny", "dark",
+        "round", "striped",
+    )
+    # multi-word relations exercise SAME resolution end to end
+    relation_vocab: tuple[str, ...] = (
+        "on", "under", "behind", "beside", "holds", "above",
+        "in front of", "next to",
+    )
     pattern_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
     seed: int = 0
 
@@ -136,17 +185,15 @@ class SyntheticGrammar:
 
     @classmethod
     def from_json(cls, text: str) -> "SyntheticGrammar":
-        d = _object_with_keys(text, "grammar", (
-            "objects", "attributes", "relations", "pattern_weights", "seed"))
-        lists = [d.get(key, default) for key, default in (
-            ("objects", DEFAULT_OBJECTS), ("attributes", DEFAULT_ATTRIBUTES),
-            ("relations", DEFAULT_RELATIONS), ("pattern_weights", (1.0, 1.0, 1.0, 1.0)))]
-        if not all(isinstance(v, (list, tuple)) for v in lists):
+        """The grammar a JSON object describes; an absent key keeps its default."""
+        d = object_with_keys(text, "grammar", (*_GRAMMAR_LISTS, "seed"))
+        lists = {key: value for key, value in d.items() if key != "seed"}
+        if not all(isinstance(v, list) for v in lists.values()):
             raise TypeError("objects, attributes, relations and pattern_weights must be lists")
-        seed = d.get("seed", 0)
-        if type(seed) is not int:
-            raise TypeError(f"seed must be an integer, got {seed!r}")
-        return cls(*map(tuple, lists), seed)
+        kwargs = {_GRAMMAR_LISTS[key]: tuple(v) for key, v in lists.items()}
+        if "seed" in d:
+            kwargs["seed"] = json_int(d["seed"], "seed")
+        return cls(**kwargs)
 
 
 def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int | None = None) -> list[Region]:
@@ -195,9 +242,9 @@ def write_regions(regions: list[Region]) -> str:
     keys sorted."""
     lines = []
     for r in regions:
-        g = graph_to_dict(r.graph)
+        g = r.graph  # json.dumps writes its attribute and relation tuples as arrays
         record = {"image_id": r.image_id, "region_id": r.region_id, "phrase": r.description,
-                  "objects": g["objects"], "attributes": g["attributes"],
-                  "relationships": g["relations"]}
+                  "objects": [{"id": o.id, "label": o.label} for o in g.objects],
+                  "attributes": g.attributes, "relationships": g.relations}
         lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
     return "".join(lines)

@@ -7,7 +7,6 @@ triples. Tuple extraction flattens a graph to label-level tuples for scoring.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -110,45 +109,3 @@ def extract_tuples(g: SceneGraph) -> TupleSet:
     binary = frozenset((labels[oid], attr) for oid, attr in g.attributes)
     ternary = frozenset((labels[sid], pred, labels[oid]) for sid, pred, oid in g.relations)
     return TupleSet(unary, binary, ternary)
-
-
-def graph_to_dict(g: SceneGraph) -> dict:
-    """Graph JSON schema: objects/attributes/relations with integer ids."""
-    return {
-        "objects": [{"id": o.id, "label": o.label} for o in g.objects],
-        "attributes": [[oid, label] for oid, label in g.attributes],
-        "relations": [[sid, label, oid] for sid, label, oid in g.relations],
-    }
-
-
-def json_int(value, field: str) -> int:
-    """value, if it is a JSON integer; a bool, float or string is a TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, got {json.dumps(value)}")
-    return value
-
-
-def _uint(value, field: str) -> int:
-    if type(value) is not int or value < 0:
-        json_int(value, field)  # a TypeError for a non-integer
-        raise ValueError(f"object ids must be non-negative, got {value}")
-    return value
-
-
-def _label(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"labels must be strings, got {value!r}")
-    return value
-
-
-def graph_from_dict(record: dict) -> SceneGraph:
-    """Inverse of graph_to_dict. Accepts 'relations' or the VG-style 'relationships' key."""
-    rels = record.get("relations", record.get("relationships", []))
-    return build_graph(
-        [(_uint(o["id"], "object id"), _label(o["label"])) for o in record.get("objects", [])],
-        [(_uint(oid, "attribute object id"), _label(label))
-         for oid, label in record.get("attributes", [])],
-        [(_uint(sid, "relation subject id"), _label(label), _uint(oid, "relation object id"))
-         for sid, label, oid in rels],
-    )
-

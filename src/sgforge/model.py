@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_field_types
 from .errors import LengthMismatchError, SequenceTooLongError
 from .graph import canonical_words
 from .tags import N_NODE_TYPES, NodeType, TaggedSentence, TaggedToken
@@ -44,6 +45,7 @@ class ModelConfig:
     tokenizer_mode: str = "word"
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("d_model", "n_heads", "d_ff", "max_len", "d_qk"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")

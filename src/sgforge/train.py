@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .data import check_field_types
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -53,6 +54,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if self.batch_size < 1:  # also the inference chunk size

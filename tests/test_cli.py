@@ -317,6 +317,10 @@ def aligned(tmp_path_factory):
     ("--train-config", {"learning_rate": math.nan}, "learning_rate"),
     ("--train-config", {"learning_rate": math.inf}, "learning_rate"),
     ("--model-config", {"d_model": 100_000}, "parameters, more than 200,000,000"),
+    ("--split", {"train_image_ids": "0123", "eval_image_ids": [4]}, "train_image_ids"),
+    ("--split", {"train_image_ids": [0, True], "eval_image_ids": [4]}, "train_image_ids"),
+    ("--split", {"train_image_ids": [0, 1], "eval_image_ids": [2.0]}, "eval_image_ids"),
+    ("--split", {"train_image_ids": [0, 1], "eval_image_ids": [50.5]}, "eval_image_ids"),
 ])
 def test_train_bad_config_is_data_error(aligned, tmp_path, capsys, flag, config, field):
     regions_file, conll_file = aligned
@@ -376,14 +380,26 @@ def _widen_d_ff(manifest):
     manifest["model_config"]["d_ff"] += 1
 
 
-@pytest.mark.parametrize("edit_manifest, edit_payload", [
-    (_set_version_3, None),
-    (None, lambda payload: payload[:-1]),
-    (None, lambda payload: payload + bytes(4)),
-    (_widen_d_ff, None),
-], ids=["version-3", "short-payload", "long-payload", "d_ff-plus-one"])
+def _set(section: str, key: str, value):
+    def edit(manifest):
+        manifest[section][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit_manifest, edit_payload, named", [
+    (_set_version_3, None, ""),
+    (None, lambda payload: payload[:-1], ""),
+    (None, lambda payload: payload + bytes(4), ""),
+    (_widen_d_ff, None, ""),
+    (_set("model_config", "d_model", 32.0), None, "d_model"),
+    (_set("model_config", "max_len", 16.0), None, "max_len"),
+    (_set("model_config", "n_layers", True), None, "n_layers"),
+    (_set("train_config", "batch_size", 8.5), None, "batch_size"),
+    (_set("train_config", "seed", 0.5), None, "seed"),
+], ids=["version-3", "short-payload", "long-payload", "d_ff-plus-one", "float-d_model",
+        "float-max_len", "true-n_layers", "float-batch_size", "float-seed"])
 def test_parse_bad_checkpoint_is_one_line_naming_the_file(trained, tmp_path, capsys,
-                                                          edit_manifest, edit_payload):
+                                                          edit_manifest, edit_payload, named):
     _, regions_file, ckpt_base = trained
     with open(ckpt_base + ".json") as f:
         manifest = json.load(f)
@@ -401,7 +417,7 @@ def test_parse_bad_checkpoint_is_one_line_naming_the_file(trained, tmp_path, cap
                 "--out", str(tmp_path / "pred.jsonl")])
     err = capsys.readouterr().err
     assert code == 2
-    assert len(err.splitlines()) == 1 and base in err
+    assert len(err.splitlines()) == 1 and base in err and named in err
     assert not (tmp_path / "pred.jsonl").exists()
 
 

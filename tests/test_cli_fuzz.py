@@ -6,8 +6,11 @@ files, corrupts one of them (a JSON value replaced, deleted or added, a CONLL fi
 rewritten, text spliced in, raw bytes inserted, or the file truncated) and
 runs every command that reads that kind of file. Other examples give a
 subcommand's options values such as a missing path, a directory, "-", a
-negative number or NaN. The examples are derandomized, so every run of the
-suite tries the same inputs; raise max_examples for a longer search.
+negative number or NaN. Others give a checkpoint manifest's config field or a
+split spec's image ids a value of the wrong JSON type, which must be exit code 2
+with one line on stderr that names the file and the field. The examples are
+derandomized, so every run of the suite tries the same inputs; raise
+max_examples for a longer search.
 """
 
 import argparse
@@ -96,8 +99,14 @@ conll_fields = st.sampled_from(["_", "0", "1", "2", "-1", "99", "x", "SUBJ", "PR
 
 
 def cli(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return run(argv)
+    return cli_err(argv)[0]
+
+
+def cli_err(argv) -> tuple[int, str]:
+    """The exit code of `run(argv)` and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return run(argv), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +228,51 @@ def test_odd_argument_values_give_an_exit_code(template):
         finally:
             os.chdir(cwd)
             sys.stdin = stdin
+
+
+def wrongly_typed(value):
+    """A JSON value whose type is not that of `value`, an int, float or str
+    config field: a float (a right type for a float field), `true` or
+    `false`, a string, a list or null."""
+    wrong = st.booleans() | st.text(max_size=4) | st.lists(st.integers(0, 9), max_size=2)
+    wrong |= st.none()
+    return wrong if type(value) is float else wrong | st.floats()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_wrongly_typed_manifest_config_is_one_line(work, data):
+    manifest = json.loads((work / "ckpt.json").read_text())
+    section = data.draw(st.sampled_from(["model_config", "train_config"]))
+    field = data.draw(st.sampled_from(sorted(manifest[section])))
+    manifest[section][field] = data.draw(wrongly_typed(manifest[section][field]))
+    (work / "bad-ckpt.json").write_text(json.dumps(manifest))
+    (work / "bad-ckpt.bin").write_bytes((work / "ckpt.bin").read_bytes())
+    code, err = cli_err(["parse", "--ckpt", f"{work}/bad-ckpt", "--regions",
+                         f"{work}/regions.jsonl", "--out", f"{work}/pred.jsonl"])
+    assert code == 2 and err.count("\n") == 1, err
+    assert f"{work}/bad-ckpt.json" in err and field in err and "Traceback" not in err
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_wrongly_typed_split_ids_are_one_line(work, data):
+    spec = {key: list(ids) for key, ids in SPLIT.items()}
+    key = data.draw(st.sampled_from(sorted(spec)))
+    if data.draw(st.booleans()):  # the list itself
+        spec[key] = data.draw(st.none() | st.booleans() | st.integers() | st.floats()
+                              | st.text(max_size=4)
+                              | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+    else:
+        at = data.draw(st.integers(0, len(spec[key]) - 1))
+        spec[key][at] = data.draw(wrongly_typed(0))
+    (work / "bad-split.json").write_text(json.dumps(spec))
+    code, err = cli_err(["train", "--conll", f"{work}/targets.conll",
+                         "--regions", f"{work}/regions.jsonl",
+                         "--model-config", f"{work}/model.json",
+                         "--train-config", f"{work}/train.json",
+                         "--split", f"{work}/bad-split.json", "--out", f"{work}/split-ckpt"])
+    assert code == 2 and err.count("\n") == 1, err
+    assert f"{work}/bad-split.json" in err and key in err and "Traceback" not in err

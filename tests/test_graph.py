@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgforge.data import Region, ingest, write_regions
 from sgforge.errors import DanglingReferenceError, EmptyLabelError
 from sgforge.graph import (
     ObjectInstance,
@@ -9,8 +12,6 @@ from sgforge.graph import (
     build_graph,
     canonicalize_label,
     extract_tuples,
-    graph_from_dict,
-    graph_to_dict,
 )
 
 
@@ -130,7 +131,12 @@ def test_rebuild_identity(g):
 
 @given(graphs())
 def test_json_roundtrip(g):
-    assert graph_from_dict(graph_to_dict(g)) == g
+    region = Region(3, 7, "a region", g)
+    text = write_regions([region])
+    assert ingest(text) == ([region], [])
+    record = json.loads(text)
+    record["relations"] = record.pop("relationships")
+    assert ingest(json.dumps(record)) == ([region], [])
 
 
 def reference_build_graph(objects, attributes=(), relations=()) -> SceneGraph:
