@@ -10,7 +10,7 @@ import argparse
 import importlib.util
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 from . import __version__
 from .align import EMPTY_LEXICON, Lexicon, align
@@ -128,7 +128,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grammar", help="grammar JSON; defaults to the built-in grammar")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, help="overrides the grammar seed")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("align", help="produce oracle CONLL targets for a regions file")
     p.add_argument("--regions", required=True)
@@ -140,10 +140,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--regions", required=True)
     p.add_argument("--model-config", help="JSON overrides for the model configuration")
     p.add_argument("--train-config", help="JSON overrides for the training configuration")
-    p.add_argument("--split", help="split spec JSON file (train/eval image ids)")
-    p.add_argument("--dev-frac", type=float, default=0.1,
-                   help="without --split, hold out this trailing fraction of image ids")
-    p.add_argument("--seed", type=int, help="overrides the training seed")
+    p.add_argument("--split", help="split spec JSON file (train/eval image ids); without it "
+                   "the trailing 10%% of the sorted image ids are held out")
     p.add_argument("--out", required=True, help="checkpoint base path")
 
     p = sub.add_parser("parse", help="parse descriptions into graphs with a checkpoint")
@@ -170,7 +168,7 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     for flag, value in (("--n", args.n), ("--seed", args.seed)):
-        if value is not None and value < 0:
+        if value < 0:
             raise _UsageError(f"{flag} must not be negative, got {value}")
     grammar = (SyntheticGrammar() if args.grammar is None
                else _load(args.grammar, SyntheticGrammar.from_json))
@@ -202,47 +200,36 @@ def _cmd_align(args) -> int:
     return 0
 
 
-def _apply_overrides(defaults: dict, path: str | None) -> dict:
-    """defaults updated from the file; the config class checks the types."""
+def _config(cls, path: str | None, kind: str, **fixed):
+    """A config dataclass built from its defaults, the keys of the JSON file
+    at `path` (if any) and `fixed`, which the file may not set. A key or
+    value it rejects is a data error that names the file."""
+    keys = [f.name for f in fields(cls) if f.name not in fixed]
+    kwargs = {}
     if path is not None:
-        defaults.update(_load(path, lambda text: object_with_keys(text, "config", defaults)))
-    return defaults
-
-
-def _config(cls, kwargs: dict, source: str):
-    """Build a config dataclass; a field value it rejects is a data error."""
+        kwargs = _load(path, lambda text: object_with_keys(text, "config", keys))
     try:
-        return cls(**kwargs)
+        return cls(**kwargs, **fixed)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{source}: {e}") from None
+        raise ConfigError(f"{path or kind}: {e}") from None
 
 
 def _cmd_train(args) -> int:
-    if not 0.0 <= args.dev_frac < 1.0:
-        raise _UsageError(f"--dev-frac must lie in [0, 1), got {args.dev_frac}")
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError(f"--seed must not be negative, got {args.seed}")
     regions = _load_regions(args.regions)
     sentences = _load(args.conll, read_conll)
     if len(sentences) != len(regions):
         raise IdMismatchError(
             f"{len(sentences)} CONLL sentences but {len(regions)} regions"
         )
-    model_defaults = asdict(model.ModelConfig(vocab_size=0))
-    del model_defaults["vocab_size"]  # train takes it from the tokenizer
-    model_kwargs = _apply_overrides(model_defaults, args.model_config)
-    train_kwargs = _apply_overrides(asdict(train.TrainConfig()), args.train_config)
-    if args.seed is not None:
-        train_kwargs["seed"] = args.seed
-    model_cfg = _config(model.ModelConfig, {"vocab_size": 0, **model_kwargs},
-                        args.model_config or "model config")
-    train_cfg = _config(train.TrainConfig, train_kwargs, args.train_config or "train config")
+    # train takes vocab_size from the tokenizer
+    model_cfg = _config(model.ModelConfig, args.model_config, "model config", vocab_size=0)
+    train_cfg = _config(train.TrainConfig, args.train_config, "train config")
 
     if args.split:
         spec = _load(args.split, SplitSpec.from_json)
     else:
         image_ids = sorted({r.image_id for r in regions})
-        cut = int(round(len(image_ids) * (1.0 - args.dev_frac)))
+        cut = int(round(len(image_ids) * 0.9))  # the trailing 10% are the dev set
         spec = SplitSpec(frozenset(image_ids[:cut]), frozenset(image_ids[cut:]))
     examples = [
         train.Example(r.description, sent, r.graph) for r, sent in zip(regions, sentences)

@@ -147,32 +147,26 @@ def split(regions: list[Region], spec: SplitSpec) -> tuple[list[int], list[int]]
     return train, eval_
 
 
-# grammar file key -> SyntheticGrammar field, for the keys that hold lists
-_GRAMMAR_LISTS = {"objects": "object_vocab", "attributes": "attribute_vocab",
-                  "relations": "relation_vocab", "pattern_weights": "pattern_weights"}
-
-
 @dataclass(frozen=True)
 class SyntheticGrammar:
-    object_vocab: tuple[str, ...] = (
+    objects: tuple[str, ...] = (
         "bus", "cat", "dog", "man", "woman", "car", "tree", "house",
         "bird", "horse", "table", "kite",
     )
-    attribute_vocab: tuple[str, ...] = (
+    attributes: tuple[str, ...] = (
         "blue", "red", "green", "tall", "small", "old", "shiny", "dark",
         "round", "striped",
     )
     # multi-word relations exercise SAME resolution end to end
-    relation_vocab: tuple[str, ...] = (
+    relations: tuple[str, ...] = (
         "on", "under", "behind", "beside", "holds", "above",
         "in front of", "next to",
     )
     pattern_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
-    seed: int = 0
 
     def __post_init__(self):
-        for key, vocab in (("objects", self.object_vocab), ("attributes", self.attribute_vocab),
-                           ("relations", self.relation_vocab)):
+        for key in ("objects", "attributes", "relations"):
+            vocab = getattr(self, key)
             if not vocab or not all(isinstance(w, str) and w.strip() for w in vocab):
                 raise ValueError(f"{key} must be a non-empty list of non-blank strings")
             if set(vocab) & STOPWORDS:
@@ -186,23 +180,19 @@ class SyntheticGrammar:
     @classmethod
     def from_json(cls, text: str) -> "SyntheticGrammar":
         """The grammar a JSON object describes; an absent key keeps its default."""
-        d = object_with_keys(text, "grammar", (*_GRAMMAR_LISTS, "seed"))
-        lists = {key: value for key, value in d.items() if key != "seed"}
-        if not all(isinstance(v, list) for v in lists.values()):
+        d = object_with_keys(text, "grammar", [f.name for f in fields(cls)])
+        if not all(isinstance(v, list) for v in d.values()):
             raise TypeError("objects, attributes, relations and pattern_weights must be lists")
-        kwargs = {_GRAMMAR_LISTS[key]: tuple(v) for key, v in lists.items()}
-        if "seed" in d:
-            kwargs["seed"] = json_int(d["seed"], "seed")
-        return cls(**kwargs)
+        return cls(**{key: tuple(v) for key, v in d.items()})
 
 
-def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int | None = None) -> list[Region]:
+def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int) -> list[Region]:
     """Generate n regions whose descriptions and graphs match exactly.
 
     Patterns: "<attr> <obj>", "<attr> and <attr> <obj>", "<obj> <rel> <obj>",
     "<attr> <obj> <rel> the <obj>". Deterministic under the seed.
     """
-    rng = random.Random(grammar.seed if seed is None else seed)
+    rng = random.Random(seed)
 
     def pick_two(vocab):
         # distinct when possible; a one-word vocabulary repeats
@@ -213,24 +203,24 @@ def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int | None = Non
     for i in range(n):
         pattern = rng.choices(patterns, weights=grammar.pattern_weights)[0]
         if pattern == 0:
-            attr = rng.choice(grammar.attribute_vocab)
-            obj = rng.choice(grammar.object_vocab)
+            attr = rng.choice(grammar.attributes)
+            obj = rng.choice(grammar.objects)
             desc = f"{attr} {obj}"
             graph = build_graph([(1, obj)], [(1, attr)])
         elif pattern == 1:
-            a1, a2 = pick_two(grammar.attribute_vocab)
-            obj = rng.choice(grammar.object_vocab)
+            a1, a2 = pick_two(grammar.attributes)
+            obj = rng.choice(grammar.objects)
             desc = f"{a1} and {a2} {obj}"
             graph = build_graph([(1, obj)], [(1, a1), (1, a2)])
         elif pattern == 2:
-            o1, o2 = pick_two(grammar.object_vocab)
-            rel = rng.choice(grammar.relation_vocab)
+            o1, o2 = pick_two(grammar.objects)
+            rel = rng.choice(grammar.relations)
             desc = f"{o1} {rel} {o2}"
             graph = build_graph([(1, o1), (2, o2)], [], [(1, rel, 2)])
         else:
-            attr = rng.choice(grammar.attribute_vocab)
-            o1, o2 = pick_two(grammar.object_vocab)
-            rel = rng.choice(grammar.relation_vocab)
+            attr = rng.choice(grammar.attributes)
+            o1, o2 = pick_two(grammar.objects)
+            rel = rng.choice(grammar.relations)
             desc = f"{attr} {o1} {rel} the {o2}"
             graph = build_graph([(1, o1), (2, o2)], [(1, attr)], [(1, rel, 2)])
         regions.append(Region(image_id=i, region_id=i, description=desc, graph=graph))

@@ -13,7 +13,7 @@ from sys import intern
 from typing import NamedTuple
 
 from .errors import ParseError
-from .graph import SceneGraph, build_graph, canonical_words
+from .graph import SceneGraph, build_graph
 
 ROOT = "ROOT"
 
@@ -146,9 +146,8 @@ def decode_tags_to_graph(sent: TaggedSentence) -> DecodeReport:
         if kind is not same and kind is not none:
             if i in pieces:
                 form = " ".join(forms[k] for k in sorted(pieces[i] + [i]))
-            words = canonical_words(form)
-            if words:
-                labels[i] = " ".join(words)
+            if form.strip():  # build_graph canonicalizes the label
+                labels[i] = form
             else:
                 drops[i] = EMPTY_LABEL
 

@@ -15,7 +15,6 @@ from .graph import canonical_words
 ROOT_ID = 0
 UNK_ID = 1
 PAD_ID = 2
-EOS_ID = 3
 RESERVED = ("<root>", "<unk>", "<pad>", "<eos>")
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -210,6 +210,11 @@ def load_checkpoint(base_path: str) -> Checkpoint:
         raise bad(f"manifest lacks {missing}")
     if manifest["format"] != _CHECKPOINT_FORMAT or manifest["version"] != _CHECKPOINT_VERSION:
         raise bad(f"unsupported format {manifest['format']!r} version {manifest['version']!r}")
+    for key, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
+        if isinstance(manifest[key], dict):  # else the config call below reports it
+            missing = [f.name for f in fields(cls) if f.name not in manifest[key]]
+            if missing:
+                raise bad(f"{key} lacks {missing}")
     try:
         model_config = ModelConfig(**manifest["model_config"])
         train_config = TrainConfig(**manifest["train_config"])

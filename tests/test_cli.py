@@ -1,13 +1,15 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 from sgforge import __version__
-from sgforge.cli import run
+from sgforge.cli import _build_parser, run
 from sgforge.data import ingest
 from sgforge.graph import extract_tuples
 from sgforge.model import MAX_PARAMS
@@ -421,18 +423,6 @@ def test_parse_bad_checkpoint_is_one_line_naming_the_file(trained, tmp_path, cap
     assert not (tmp_path / "pred.jsonl").exists()
 
 
-@pytest.mark.parametrize("dev_frac", ["1.5", "1.0", "-0.1", "nan"])
-def test_train_dev_frac_outside_unit_interval_is_usage_error(aligned, tmp_path, capsys,
-                                                             dev_frac):
-    regions_file, conll_file = aligned
-    capsys.readouterr()
-    code = run(["train", "--conll", conll_file, "--regions", regions_file,
-                "--dev-frac", dev_frac, "--out", str(tmp_path / "ckpt")])
-    assert code == 1
-    assert "--dev-frac" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("flag, command, text", [
     ("--lexicon", "align", "[1, 2]"),
     ("--lexicon", "align", '{"a": "bc"}'),
@@ -463,14 +453,15 @@ def test_bad_lexicon_or_grammar_is_data_error(aligned, tmp_path, capsys, flag, c
     assert str(bad) in capsys.readouterr().err
 
 
-def test_unknown_grammar_key_is_data_error(tmp_path, capsys):
-    grammar = tmp_path / "grammar.json"
-    grammar.write_text(json.dumps({"objectz": ["ship"], "seed": 3}))
-    out = tmp_path / "out.jsonl"
-    capsys.readouterr()
-    assert run(["gen", "--grammar", str(grammar), "--n", "3", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"sgforge: {grammar}: unknown grammar keys: ['objectz']\n"
-    assert not out.exists()
+def test_unknown_grammar_key_is_data_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # "seed" is unknown too: the corpus seed is gen --seed, and only that
+    for grammar, key in (({"objectz": ["ship"]}, "objectz"), ({"seed": 3}, "seed")):
+        (tmp_path / "g.json").write_text(json.dumps(grammar))
+        capsys.readouterr()
+        assert run(["gen", "--grammar", "g.json", "--n", "3", "--out", "o.jsonl"]) == 2
+        assert capsys.readouterr().err == f"sgforge: g.json: unknown grammar keys: ['{key}']\n"
+        assert not (tmp_path / "o.jsonl").exists()
 
 
 def _two_regions_with_ids_10_and_11(tmp_path):
@@ -619,16 +610,30 @@ def test_malformed_conll_error_names_the_file(aligned, tmp_path, capsys, command
         f"sgforge: {bad}: line 3: expected 5 tab-separated columns, got 2\n")
 
 
-def test_train_negative_seed_is_usage_error(tmp_path, capsys):
-    # no file named here exists: the flag is rejected before any is read
-    cfg = str(tmp_path / "cfg.json")
+@pytest.mark.parametrize("option", [["--seed", "1"], ["--dev-frac", "0.2"]],
+                         ids=["seed", "dev-frac"])
+def test_train_has_no_seed_or_dev_frac_option(tmp_path, capsys, option):
+    # the seed is the train config's; the dev set is the split file's or the trailing
+    # 10% of image ids. No file named here exists: the option is rejected before any is read
     code = run(["train", "--conll", str(tmp_path / "t.conll"),
-                "--regions", str(tmp_path / "r.jsonl"), "--train-config", cfg,
-                "--seed", "-1", "--out", str(tmp_path / "ckpt")])
-    err = capsys.readouterr().err
+                "--regions", str(tmp_path / "r.jsonl"), *option, "--out", str(tmp_path / "ckpt")])
     assert code == 1
-    assert "--seed" in err and cfg not in err
+    assert capsys.readouterr().err == f"sgforge: unrecognized arguments: {' '.join(option)}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_names_every_parser_option_and_no_other():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", f.read()))
+    options = set()
+    parsers = [_build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            options.update(o for o in action.option_strings if o.startswith("--"))
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    assert named - options == set()  # the README names no option that is gone
+    assert options - named == {"--help"}  # and documents every other one
 
 
 @pytest.mark.parametrize("image_id", [0, 19], ids=["train", "dev"])

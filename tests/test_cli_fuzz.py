@@ -31,7 +31,7 @@ from sgforge.cli import _build_parser, run
 MODEL_CONFIG = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 16, "max_len": 16, "d_qk": 8}
 TRAIN_CONFIG = {"epochs": 1, "batch_size": 4}
 GRAMMAR = {"objects": ["cat", "bus"], "attributes": ["red", "old"],
-           "relations": ["on", "next to"], "seed": 3}
+           "relations": ["on", "next to"]}
 LEXICON = {"cat": ["kitty"], "bus": ["auto", "coach"]}
 SPLIT = {"train_image_ids": list(range(8)), "eval_image_ids": [8, 9, 10, 11]}
 

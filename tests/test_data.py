@@ -154,7 +154,7 @@ def test_generate_deterministic():
 
 
 def test_generate_zero():
-    assert generate_synthetic(SyntheticGrammar(), 0) == []
+    assert generate_synthetic(SyntheticGrammar(), 0, seed=0) == []
 
 
 def test_generated_regions_align_perfectly():
@@ -177,15 +177,14 @@ def test_generated_regions_roundtrip_jsonl():
 
 def test_grammar_rejects_stopwords():
     with pytest.raises(ValueError):
-        SyntheticGrammar(object_vocab=("cat", "the"))
+        SyntheticGrammar(objects=("cat", "the"))
 
 
 def test_grammar_from_json():
     g = SyntheticGrammar.from_json(
         json.dumps({"objects": ["cat"], "attributes": ["red"],
-                    "relations": ["on"], "seed": 9})
+                    "relations": ["on"]})
     )
-    assert g.object_vocab == ("cat",)
-    assert g.seed == 9
-    regions = generate_synthetic(g, 5)
+    assert g.objects == ("cat",)
+    regions = generate_synthetic(g, 5, seed=9)
     assert all("cat" in r.description for r in regions)

@@ -320,6 +320,14 @@ def _edit_manifest(base, edit):
     (lambda m: m["model_config"].update(vocab_size=m["model_config"]["vocab_size"] + 1),
      "vocab_size"),
     (lambda m: m["model_config"].update(d_ff=m["model_config"]["d_ff"] + 1), "ckpt.bin"),
+    # save_checkpoint writes every config field, so a missing one is an error, not a default
+    pytest.param(lambda m: m["model_config"].pop("d_qk"),
+                 r"ckpt\.json: model_config lacks \['d_qk'\]", id="missing-d_qk"),
+    pytest.param(lambda m: m["model_config"].pop("tokenizer_mode"),
+                 r"ckpt\.json: model_config lacks \['tokenizer_mode'\]",
+                 id="missing-tokenizer_mode"),
+    pytest.param(lambda m: m["train_config"].pop("batch_size"),
+                 r"ckpt\.json: train_config lacks \['batch_size'\]", id="missing-batch_size"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
