@@ -115,6 +115,18 @@ def _write_graphs(path: str, items, sentences) -> None:
     ]))
 
 
+def _check_pairing(conll_path: str, sentences, regions_path: str, regions) -> None:
+    """Check that the i-th CONLL sentence tags the i-th region's words."""
+    if len(sentences) != len(regions):
+        raise IdMismatchError(f"{conll_path} has {len(sentences)} CONLL sentences but "
+                              f"{regions_path} has {len(regions)} regions")
+    for k, (sent, region) in enumerate(zip(sentences, regions), start=1):
+        n = len(canonical_words(region.description))
+        if len(sent) != n:
+            raise IdMismatchError(f"{conll_path}: sentence {k} has {len(sent)} tokens, but "
+                                  f"region {region.region_id} in {regions_path} has {n} words")
+
+
 def _too_long(path: str, region_id: int, n: int, max_len: int) -> str:
     return f"{path}: region {region_id} has {n} tokens, more than max_len {max_len}"
 
@@ -217,10 +229,7 @@ def _config(cls, path: str | None, kind: str, **fixed):
 def _cmd_train(args) -> int:
     regions = _load_regions(args.regions)
     sentences = _load(args.conll, read_conll)
-    if len(sentences) != len(regions):
-        raise IdMismatchError(
-            f"{len(sentences)} CONLL sentences but {len(regions)} regions"
-        )
+    _check_pairing(args.conll, sentences, args.regions, regions)
     # train takes vocab_size from the tokenizer
     model_cfg = _config(model.ModelConfig, args.model_config, "model config", vocab_size=0)
     train_cfg = _config(train.TrainConfig, args.train_config, "train config")
@@ -324,9 +333,7 @@ def _cmd_convert(args) -> int:
         items = [(i, i, " ".join(tok.form for tok in sent)) for i, sent in enumerate(sentences)]
     else:
         source = _load_regions(args.regions)
-        if len(source) != len(sentences):
-            raise IdMismatchError(f"{args.infile} has {len(sentences)} CONLL sentences but "
-                                  f"{args.regions} has {len(source)} regions")
+        _check_pairing(args.infile, sentences, args.regions, source)
         items = [(r.image_id, r.region_id, r.description) for r in source]
     _write_graphs(args.out, items, sentences)
     return 0

@@ -100,6 +100,8 @@ def region_from_dict(record: dict) -> Region:
     """A region record as `write_regions` writes it, or with `relations`."""
     if not isinstance(record, dict):
         raise TypeError(f"a region record must be a JSON object, not {type(record).__name__}")
+    if "relations" in record and "relationships" in record:
+        raise ValueError("a region record may hold relations or relationships, not both")
     phrase = record.get("phrase", "")
     if not isinstance(phrase, str):
         raise TypeError(f"phrase must be a string, got {phrase!r}")
@@ -117,10 +119,10 @@ def region_from_dict(record: dict) -> Region:
 
 
 def ingest(lines: list[str] | str) -> tuple[list[Region], list[tuple[int, str]]]:
-    """Parse JSONL region records. Bad records collect as (line, reason) pairs
-    rather than aborting the whole file."""
-    if isinstance(lines, str):
-        lines = lines.splitlines()
+    """Parse JSONL region records, given as text or as its lines. Bad records
+    collect as (line, reason) pairs rather than aborting the whole file."""
+    if isinstance(lines, str):  # only "\n" ends a line: JSON strings may hold U+2028 raw
+        lines = lines.split("\n")
     regions: list[Region] = []
     errors: list[tuple[int, str]] = []
     for line_no, line in enumerate(lines, start=1):

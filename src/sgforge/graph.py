@@ -82,30 +82,14 @@ def build_graph(
     return SceneGraph(tuple(objs.values()), tuple(attrs), tuple(rels))
 
 
-@dataclass(frozen=True)
-class TupleSet:
-    """Label-level tuples of a graph: unary objects, binary attributes, ternary relations."""
-
-    unary: frozenset[tuple[str]] = frozenset()
-    binary: frozenset[tuple[str, str]] = frozenset()
-    ternary: frozenset[tuple[str, str, str]] = frozenset()
-
-    def __len__(self) -> int:
-        return len(self.unary) + len(self.binary) + len(self.ternary)
-
-    def ordered(self) -> list[tuple[str, ...]]:
-        """Canonical iteration order: unary, binary, ternary, lexicographic within each."""
-        out: list[tuple[str, ...]] = []
-        out.extend(sorted(self.unary))
-        out.extend(sorted(self.binary))
-        out.extend(sorted(self.ternary))
-        return out
+# A graph's label tuples: objects (label,), attributes (label, attribute) and
+# relations (subject label, predicate, object label), told apart by length.
+Tuples = frozenset[tuple[str, ...]]
 
 
-def extract_tuples(g: SceneGraph) -> TupleSet:
-    """Flatten a graph to its label tuples. Duplicate labels collapse."""
+def extract_tuples(g: SceneGraph) -> Tuples:
+    """Flatten a graph to its one set of label tuples. Duplicate labels collapse."""
     labels = {o.id: o.label for o in g.objects}
-    unary = frozenset((o.label,) for o in g.objects)
-    binary = frozenset((labels[oid], attr) for oid, attr in g.attributes)
-    ternary = frozenset((labels[sid], pred, labels[oid]) for sid, pred, oid in g.relations)
-    return TupleSet(unary, binary, ternary)
+    return frozenset([(o.label,) for o in g.objects]
+                     + [(labels[oid], attr) for oid, attr in g.attributes]
+                     + [(labels[sid], pred, labels[oid]) for sid, pred, oid in g.relations])

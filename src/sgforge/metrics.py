@@ -1,9 +1,9 @@
 """Tuple-matching F-score between predicted and reference scene graphs.
 
-Scoring matches label tuples one-to-one (exact pairs first, then lexicon
-synonyms) in a canonical order, then derives precision, recall, and F1. The
-limited-tuples mode caps the reference count by the number of useful words in
-the region description.
+Scoring matches a graph's one set of label tuples one-to-one (exact tuples
+first, then lexicon synonyms) in lexicographic order, then derives precision,
+recall, and F1. The limited-tuples mode caps the reference count by the number
+of useful words in the region description.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .align import Lexicon, EMPTY_LEXICON, useful_word_count
 from .errors import IdMismatchError
-from .graph import SceneGraph, TupleSet, extract_tuples
+from .graph import SceneGraph, Tuples, extract_tuples
 
 
 @dataclass(frozen=True)
@@ -46,25 +46,21 @@ def tuple_match(a: tuple[str, ...], b: tuple[str, ...], lex: Lexicon = EMPTY_LEX
     return all(lex.match(x, y) for x, y in zip(a, b))
 
 
-def match_count(pred: TupleSet, ref: TupleSet, lex: Lexicon = EMPTY_LEXICON) -> int:
+def match_count(pred: Tuples, ref: Tuples, lex: Lexicon = EMPTY_LEXICON) -> int:
     """Greedy one-to-one matching size.
 
     Equal tuples are matched first. Then each leftover predicted tuple, in
-    canonical order (lexicographic within each arity), takes the first
-    leftover reference tuple it matches through lexicon synonyms, so the
-    result does not depend on construction order. Without synonyms no
-    leftover can match: a predicted tuple equal to a reference one is
-    already matched.
+    lexicographic order, takes the first leftover reference tuple it matches
+    through lexicon synonyms, so the result does not depend on construction
+    order. Only tuples of one length can match, and sorting keeps each
+    length's own order. Without synonyms no leftover can match: a predicted
+    tuple equal to a reference one is already matched.
     """
-    matches = 0
-    for p, r in ((pred.unary, ref.unary), (pred.binary, ref.binary),
-                 (pred.ternary, ref.ternary)):
-        exact = p & r
-        matches += len(exact)
-        if not lex:
-            continue
-        ref_left = sorted(r - exact)
-        for t in sorted(p - exact):
+    exact = pred & ref
+    matches = len(exact)
+    if lex:
+        ref_left = sorted(ref - exact)
+        for t in sorted(pred - exact):
             for i, candidate in enumerate(ref_left):
                 if tuple_match(t, candidate, lex):
                     del ref_left[i]
@@ -74,8 +70,8 @@ def match_count(pred: TupleSet, ref: TupleSet, lex: Lexicon = EMPTY_LEXICON) -> 
 
 
 def spice_f1(
-    pred: TupleSet,
-    ref: TupleSet,
+    pred: Tuples,
+    ref: Tuples,
     lex: Lexicon = EMPTY_LEXICON,
     cap: int | None = None,
 ) -> Scores:
@@ -103,7 +99,7 @@ def evaluate_corpus(
     limited: bool = False,
     region_ids: list | None = None,
 ) -> tuple[dict, list[dict]]:
-    """Per-region scores plus a corpus aggregate (mean of per-region F).
+    """Per-region scores plus a corpus aggregate read from them (mean of per-region F).
 
     Regions with an empty reference tuple set are skipped and counted. The
     three collections must be parallel; region_ids, when given, must match
@@ -120,17 +116,12 @@ def evaluate_corpus(
         raise IdMismatchError("region_ids not parallel to graphs")
 
     rows: list[dict] = []
-    f_sum = p_sum = r_sum = 0.0
-    scored = 0
-    skipped = 0
-    totals = {"matches": 0, "num_pred": 0, "num_ref": 0}
     for rid, pred_g, ref_g, desc in zip(
         region_ids, predicted_graphs, reference_graphs, descriptions
     ):
         ref_tuples = extract_tuples(ref_g)
         pred_tuples = extract_tuples(pred_g)
-        if len(ref_tuples) == 0:
-            skipped += 1
+        if not ref_tuples:
             rows.append(
                 {"region_id": rid, "matches": 0, "num_pred": len(pred_tuples),
                  "num_ref": 0, "p": 0.0, "r": 0.0, "f": 0.0, "skipped": True}
@@ -142,20 +133,18 @@ def evaluate_corpus(
             {"region_id": rid, "matches": s.matches, "num_pred": s.num_pred,
              "num_ref": s.num_ref, "p": s.precision, "r": s.recall, "f": s.f1}
         )
-        f_sum += s.f1
-        p_sum += s.precision
-        r_sum += s.recall
-        scored += 1
-        totals["matches"] += s.matches
-        totals["num_pred"] += s.num_pred
-        totals["num_ref"] += s.num_ref
+    scored = [row for row in rows if "skipped" not in row]
+
+    def mean(key: str) -> float:
+        return sum(row[key] for row in scored) / len(scored) if scored else 0.0
+
     aggregate = {
         "regions": len(reference_graphs),
-        "scored": scored,
-        "skipped_empty_ref": skipped,
-        "mean_f": f_sum / scored if scored else 0.0,
-        "mean_p": p_sum / scored if scored else 0.0,
-        "mean_r": r_sum / scored if scored else 0.0,
-        **totals,
+        "scored": len(scored),
+        "skipped_empty_ref": len(rows) - len(scored),
+        "mean_f": mean("f"),
+        "mean_p": mean("p"),
+        "mean_r": mean("r"),
+        **{key: sum(row[key] for row in scored) for key in ("matches", "num_pred", "num_ref")},
     }
     return aggregate, rows

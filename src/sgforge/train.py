@@ -187,6 +187,12 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
                          for name in sorted(ckpt.params)))
 
 
+def _strings(value, n: int | None = None) -> bool:
+    """Whether value is a JSON list of strings, of length n if n is given."""
+    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
+            and n in (None, len(value)))
+
+
 def load_checkpoint(base_path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
     unless the manifest is well formed and the payload holds exactly the
@@ -219,12 +225,17 @@ def load_checkpoint(base_path: str) -> Checkpoint:
         model_config = ModelConfig(**manifest["model_config"])
         train_config = TrainConfig(**manifest["train_config"])
         tok_info = manifest["tokenizer"]
-        tokenizer = Tokenizer(
-            tok_info["mode"], tuple(tok_info["tokens"]),
-            tuple(tuple(m) for m in tok_info["merges"]),
-        )
+        tokens, merges = tok_info["tokens"], tok_info["merges"]
+        if not _strings(tokens):
+            raise TypeError("tokenizer tokens must be a list of strings")
+        if not (isinstance(merges, list) and all(_strings(m, 2) for m in merges)):
+            raise TypeError("each tokenizer merge must be a list of two strings")
+        tokenizer = Tokenizer(tok_info["mode"], tuple(tokens), tuple(map(tuple, merges)))
     except (KeyError, TypeError, ValueError) as e:
         raise bad(f"bad config or tokenizer: {e!r}") from None
+    if tokenizer.mode != model_config.tokenizer_mode:
+        raise bad(f"tokenizer mode {tokenizer.mode!r} differs from model_config.tokenizer_mode "
+                  f"{model_config.tokenizer_mode!r}")
     if tokenizer.vocab_size != model_config.vocab_size:
         raise bad(f"tokenizer has {tokenizer.vocab_size} tokens, model_config.vocab_size is "
                   f"{model_config.vocab_size}")

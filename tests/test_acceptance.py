@@ -13,7 +13,7 @@ import numpy as np
 
 from sgforge.align import Lexicon, align
 from sgforge.data import SyntheticGrammar, generate_synthetic
-from sgforge.graph import TupleSet, extract_tuples
+from sgforge.graph import Tuples, extract_tuples
 from sgforge.metrics import evaluate_corpus, match_count, spice_f1, tuple_match
 from sgforge.model import (
     ModelConfig,
@@ -136,10 +136,7 @@ def random_tuple_set(rng, max_tuples):
     for _ in range(rng.randint(0, max_tuples)):
         arity = rng.choice([1, 2, 3])
         tuples.append(tuple(rng.choice(LABELS) for _ in range(arity)))
-    unary = frozenset(t for t in tuples if len(t) == 1)
-    binary = frozenset(t for t in tuples if len(t) == 2)
-    ternary = frozenset(t for t in tuples if len(t) == 3)
-    return TupleSet(unary, binary, ternary)
+    return frozenset(tuples)
 
 
 def test_a4_limited_mode_dominance():
@@ -214,9 +211,13 @@ def test_a6_loss_masking_exact():
     report("A6", all(d == 0.0 for d in deltas), f"loss deltas {deltas}")
 
 
-def brute_force_matching(pred: TupleSet, ref: TupleSet, lex: Lexicon) -> int:
-    preds = pred.ordered()
-    refs = ref.ordered()
+def ordered(tuples: Tuples) -> list[tuple[str, ...]]:
+    return sorted(tuples, key=lambda t: (len(t), t))
+
+
+def brute_force_matching(pred: Tuples, ref: Tuples, lex: Lexicon) -> int:
+    preds = ordered(pred)
+    refs = ordered(ref)
     for k in range(min(len(preds), len(refs)), 0, -1):
         for subset in itertools.combinations(range(len(preds)), k):
             for perm in itertools.permutations(range(len(refs)), k):
@@ -227,17 +228,9 @@ def brute_force_matching(pred: TupleSet, ref: TupleSet, lex: Lexicon) -> int:
 
 def test_a7_worked_metric_values():
     """A7: bus example scores exactly; greedy matches brute force at <=8 tuples."""
-    pred = TupleSet(
-        frozenset({("bus",)}),
-        frozenset({("bus", "red"), ("bus", "blue")}),
-        frozenset(),
-    )
-    ref = TupleSet(
-        frozenset({("bus",)}),
-        frozenset({("bus", "red"), ("bus", "passenger"), ("bus", "black"),
-                   ("bus", "white")}),
-        frozenset(),
-    )
+    pred = frozenset({("bus",), ("bus", "red"), ("bus", "blue")})
+    ref = frozenset({("bus",), ("bus", "red"), ("bus", "passenger"), ("bus", "black"),
+                     ("bus", "white")})
     base = spice_f1(pred, ref)
     limited = spice_f1(pred, ref, cap=3)
     exact = base.f1 == 0.5 and limited.f1 == 2 / 3

@@ -107,7 +107,7 @@ def test_align_dual_role_node_stays_subj():
     assert types["b"] is T.SUBJ
     assert ("relation", 1, "on", 2) in result.unaligned_nodes
     decoded = decode_tags_to_graph(result.tagged).graph
-    assert ("b", "under", "c") in extract_tuples(decoded).ternary
+    assert ("b", "under", "c") in extract_tuples(decoded)
 
 
 def test_align_never_consumes_token_twice():

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,8 @@ from sgforge import __version__
 from sgforge.cli import _build_parser, run
 from sgforge.data import ingest
 from sgforge.graph import extract_tuples
-from sgforge.model import MAX_PARAMS
+from sgforge.model import MAX_PARAMS, ModelConfig
+from sgforge.train import TrainConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -502,6 +504,38 @@ def test_convert_regions_count_mismatch_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "g.jsonl").exists()
 
 
+def test_train_count_mismatch_names_both_files(tmp_path, capsys):
+    regions = _two_regions_with_ids_10_and_11(tmp_path)
+    conll = tmp_path / "t.conll"
+    conll.write_text("1\tbus\t0\t_\tSUBJ\n\n")
+    capsys.readouterr()
+    assert run(["train", "--conll", str(conll), "--regions", regions,
+                "--out", str(tmp_path / "ckpt")]) == 2
+    assert capsys.readouterr().err == (
+        f"sgforge: {conll} has 1 CONLL sentences but {regions} has 2 regions\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl", "t.conll"]
+
+
+@pytest.mark.parametrize("command", ["train", "convert"])
+def test_word_count_mismatch_names_sentence_and_region(tmp_path, capsys, command):
+    regions = _two_regions_with_ids_10_and_11(tmp_path)
+    conll = str(tmp_path / "t.conll")
+    assert run(["align", "--regions", regions, "--out", conll]) == 0
+    with open(regions) as f:
+        text = f.read()
+    with open(regions, "w") as f:  # the second phrase gains a word its sentence lacks
+        f.write(text.replace("cat on the mat", "cat on the red mat"))
+    out = str(tmp_path / "out")
+    argv = (["train", "--conll", conll, "--regions", regions, "--out", out]
+            if command == "train" else
+            ["convert", "--in", conll, "--regions", regions, "--out", out])
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (f"sgforge: {conll}: sentence 2 has 4 tokens, but "
+                                       f"region 11 in {regions} has 5 words\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl", "t.conll"]
+
+
 def test_convert_rejects_other_head_spelling(tmp_path, capsys):
     conll = tmp_path / "t.conll"
     conll.write_text("1\tred\t2\tATTR\tATTR\n2\tbus\t+0\t_\tSUBJ\n\n")
@@ -634,6 +668,18 @@ def test_readme_names_every_parser_option_and_no_other():
                 parsers.extend(action.choices.values())
     assert named - options == set()  # the README names no option that is gone
     assert options - named == {"--help"}  # and documents every other one
+
+
+def test_readme_train_options_name_every_config_field_with_its_default():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as f:
+        readme = f.read()
+    section = readme[readme.index("`train` options:"):readme.index("`eval` needs")]
+    # "`d_model` (64)", "`learning_rate` (1e-3; ...", "`tokenizer_mode` (`"word"` or ..."
+    named = {name: json.loads(default)
+             for name, default in re.findall(r"`(\w+)` \(`?([^`;,)\s]+)", section)}
+    expected = {f.name: f.default for config in (ModelConfig, TrainConfig)
+                for f in dataclasses.fields(config) if f.name != "vocab_size"}
+    assert named == expected
 
 
 @pytest.mark.parametrize("image_id", [0, 19], ids=["train", "dev"])

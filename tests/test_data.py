@@ -87,10 +87,13 @@ TWO_OBJECTS = [{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}]
      "relation object id must be an integer, got [2]"),
     (json.dumps(record(objects=[{"id": -1, "label": "bus"}], attributes=[])),
      "object ids must be non-negative, got -1"),
+    # one spelling would silently win over the other
+    (json.dumps(record(objects=TWO_OBJECTS, relations=[[1, "on", 2]])),
+     "a region record may hold relations or relationships, not both"),
 ], ids=["list", "phrase", "object_label", "attribute_label", "relation_label", "huge_id",
         "deep_nesting", "float_object_id", "bool_region_id", "string_object_id",
         "float_image_id", "float_attribute_id", "bool_relation_id", "list_relation_id",
-        "negative_object_id"])
+        "negative_object_id", "relations_and_relationships"])
 def test_ingest_wrongly_typed_record_is_malformed(line, reason):
     lines = [json.dumps(record()), line, json.dumps(record(region_id=11))]
     regions, errors = ingest("\n".join(lines))
@@ -99,6 +102,16 @@ def test_ingest_wrongly_typed_record_is_malformed(line, reason):
     assert errors[0][0] == 2 and errors[0][1].startswith("Malformed: ")
     if reason is not None:
         assert errors[0][1] == f"Malformed: {reason}"
+
+
+@pytest.mark.parametrize("separator", ["\u0085", "\u2028", "\u2029"])
+def test_ingest_ends_lines_at_newline_only(separator):
+    # JSON allows these raw inside a string, and ensure_ascii=False writes them so
+    phrase = f"blue and{separator}red bus"
+    lines = [json.dumps(record(phrase=phrase), ensure_ascii=False), "not json"]
+    regions, errors = ingest("\n".join(lines))
+    assert [r.description for r in regions] == [phrase]
+    assert [line_no for line_no, _ in errors] == [2]
 
 
 def test_ingest_reserialization_is_byte_exact():

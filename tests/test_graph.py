@@ -76,23 +76,21 @@ def test_duplicate_object_ids_rejected():
 def test_self_relation_kept_and_flagged():
     g = build_graph([(1, "cat")], [], [(1, "licks", 1)])
     assert g.relations == ((1, "licks", 1),)
-    assert extract_tuples(g).ternary == {("cat", "licks", "cat")}
+    assert extract_tuples(g) == {("cat",), ("cat", "licks", "cat")}
 
 
 def test_extract_tuples_fig1():
     ts = extract_tuples(fig1_graph())
-    assert ts.unary == {("cat",), ("mouth",)}
-    assert ("cat", "brown") in ts.binary
-    assert ("mouth", "on", "cat") in ts.ternary
+    assert {t for t in ts if len(t) == 1} == {("cat",), ("mouth",)}
+    assert ("cat", "brown") in ts
+    assert ("mouth", "on", "cat") in ts
     assert len(ts) == 8
 
 
 def test_extract_tuples_label_collapse():
     # two brown cats collapse to one unary and one binary tuple
     g = build_graph([(1, "cat"), (2, "cat")], [(1, "brown"), (2, "brown")], [])
-    ts = extract_tuples(g)
-    assert ts.unary == {("cat",)}
-    assert ts.binary == {("cat", "brown")}
+    assert extract_tuples(g) == {("cat",), ("cat", "brown")}
 
 
 labels = st.sampled_from(["cat", "dog", "bus", "mat", "red", "blue", "on", "under"])
@@ -117,10 +115,10 @@ def graphs(draw):
 
 @given(graphs())
 def test_tuple_cardinality_bounds(g):
-    ts = extract_tuples(g)
-    assert len(ts.unary) <= len(g.objects)
-    assert len(ts.binary) <= len(g.attributes)
-    assert len(ts.ternary) <= len(g.relations)
+    lengths = [len(t) for t in extract_tuples(g)]
+    assert lengths.count(1) <= len(g.objects)
+    assert lengths.count(2) <= len(g.attributes)
+    assert lengths.count(3) <= len(g.relations)
 
 
 @given(graphs())

@@ -2,20 +2,23 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sgforge.align import EMPTY_LEXICON, Lexicon
+from sgforge.align import EMPTY_LEXICON, Lexicon, useful_word_count
 from sgforge.errors import IdMismatchError
-from sgforge.graph import TupleSet, build_graph, extract_tuples
+from sgforge.graph import SceneGraph, Tuples, build_graph, extract_tuples
 from sgforge.metrics import Scores, evaluate_corpus, match_count, spice_f1, tuple_match
 
 
-def ts(*tuples) -> TupleSet:
-    unary = frozenset(t for t in tuples if len(t) == 1)
-    binary = frozenset(t for t in tuples if len(t) == 2)
-    ternary = frozenset(t for t in tuples if len(t) == 3)
-    return TupleSet(unary, binary, ternary)
+def ts(*tuples) -> Tuples:
+    return frozenset(tuples)
+
+
+def ordered(tuples: Tuples) -> list[tuple[str, ...]]:
+    """Unary, binary, ternary, lexicographic within each: the order the
+    per-arity scorer walked, which the references below keep."""
+    return sorted(tuples, key=lambda t: (len(t), t))
 
 
 BUS_PRED = ts(("bus",), ("bus", "red"), ("bus", "blue"))
@@ -82,10 +85,10 @@ def random_tuple_set(rng, max_tuples=4):
     return ts(*tuples)
 
 
-def max_matching(pred: TupleSet, ref: TupleSet, lex: Lexicon) -> int:
+def max_matching(pred: Tuples, ref: Tuples, lex: Lexicon) -> int:
     """Brute-force maximum bipartite matching for instances up to 8 tuples."""
-    preds = pred.ordered()
-    refs = ref.ordered()
+    preds = ordered(pred)
+    refs = ordered(ref)
     best = 0
     refs_idx = range(len(refs))
     for k in range(min(len(preds), len(refs)), 0, -1):
@@ -109,11 +112,11 @@ def test_greedy_equals_bruteforce_small_instances():
         assert match_count(pred, ref, GROUP_LEX) == max_matching(pred, ref, GROUP_LEX)
 
 
-def reference_match_count(pred: TupleSet, ref: TupleSet, lex: Lexicon = EMPTY_LEXICON) -> int:
+def reference_match_count(pred: Tuples, ref: Tuples, lex: Lexicon = EMPTY_LEXICON) -> int:
     """The list-walking match_count that the set-intersection one replaced,
     kept verbatim as the reference."""
-    pred_tuples = pred.ordered()
-    ref_left = set(ref.ordered())
+    pred_tuples = ordered(pred)
+    ref_left = set(ordered(ref))
     matches = 0
     unmatched_pred = []
     for t in pred_tuples:
@@ -122,7 +125,7 @@ def reference_match_count(pred: TupleSet, ref: TupleSet, lex: Lexicon = EMPTY_LE
             matches += 1
         else:
             unmatched_pred.append(t)
-    ref_ordered = [t for t in ref.ordered() if t in ref_left]
+    ref_ordered = [t for t in ordered(ref) if t in ref_left]
     for t in unmatched_pred:
         for r in ref_ordered:
             if tuple_match(t, r, lex):
@@ -141,7 +144,8 @@ def _arity(n):
     return st.frozensets(st.tuples(*[st.sampled_from(LABELS)] * n), max_size=4)
 
 
-tuple_sets = st.builds(TupleSet, _arity(1), _arity(2), _arity(3))
+tuple_sets = st.builds(lambda *arities: frozenset().union(*arities),
+                       _arity(1), _arity(2), _arity(3))
 
 
 @settings(max_examples=300, derandomize=True)
@@ -249,3 +253,95 @@ def test_evaluate_corpus_limited_uses_description_cap():
     lim_agg, _ = evaluate_corpus([pred], [ref], ["blue and red bus"], limited=True)
     assert base_agg["mean_f"] == 0.5
     assert lim_agg["mean_f"] == 2 / 3
+
+
+def reference_evaluate_corpus(
+    predicted_graphs: list[SceneGraph],
+    reference_graphs: list[SceneGraph],
+    descriptions: list[str],
+    lex: Lexicon = EMPTY_LEXICON,
+    limited: bool = False,
+    region_ids: list | None = None,
+) -> tuple[dict, list[dict]]:
+    """The evaluate_corpus with running sums that the one reading its
+    aggregate from the rows replaced, kept verbatim as the reference."""
+    if not (len(predicted_graphs) == len(reference_graphs) == len(descriptions)):
+        raise IdMismatchError(
+            f"parallel collections expected, got {len(predicted_graphs)} predictions, "
+            f"{len(reference_graphs)} references, {len(descriptions)} descriptions"
+        )
+    if region_ids is None:
+        region_ids = list(range(len(reference_graphs)))
+    elif len(region_ids) != len(reference_graphs):
+        raise IdMismatchError("region_ids not parallel to graphs")
+
+    rows: list[dict] = []
+    f_sum = p_sum = r_sum = 0.0
+    scored = 0
+    skipped = 0
+    totals = {"matches": 0, "num_pred": 0, "num_ref": 0}
+    for rid, pred_g, ref_g, desc in zip(
+        region_ids, predicted_graphs, reference_graphs, descriptions
+    ):
+        ref_tuples = extract_tuples(ref_g)
+        pred_tuples = extract_tuples(pred_g)
+        if len(ref_tuples) == 0:
+            skipped += 1
+            rows.append(
+                {"region_id": rid, "matches": 0, "num_pred": len(pred_tuples),
+                 "num_ref": 0, "p": 0.0, "r": 0.0, "f": 0.0, "skipped": True}
+            )
+            continue
+        cap = useful_word_count(desc) if limited else None
+        s = spice_f1(pred_tuples, ref_tuples, lex, cap=cap)
+        rows.append(
+            {"region_id": rid, "matches": s.matches, "num_pred": s.num_pred,
+             "num_ref": s.num_ref, "p": s.precision, "r": s.recall, "f": s.f1}
+        )
+        f_sum += s.f1
+        p_sum += s.precision
+        r_sum += s.recall
+        scored += 1
+        totals["matches"] += s.matches
+        totals["num_pred"] += s.num_pred
+        totals["num_ref"] += s.num_ref
+    aggregate = {
+        "regions": len(reference_graphs),
+        "scored": scored,
+        "skipped_empty_ref": skipped,
+        "mean_f": f_sum / scored if scored else 0.0,
+        "mean_p": p_sum / scored if scored else 0.0,
+        "mean_r": r_sum / scored if scored else 0.0,
+        **totals,
+    }
+    return aggregate, rows
+
+
+words = st.sampled_from(LABELS)
+
+
+@st.composite
+def scene_graphs(draw):
+    ids = list(range(1, draw(st.integers(0, 3)) + 1))  # no objects: an empty graph
+    objects = [(i, draw(words)) for i in ids]
+    if not ids:
+        return build_graph(objects)
+    attributes = draw(st.lists(st.tuples(st.sampled_from(ids), words), max_size=3))
+    relations = draw(st.lists(st.tuples(st.sampled_from(ids), words, st.sampled_from(ids)),
+                              max_size=3))
+    return build_graph(objects, attributes, relations)
+
+
+corpora = st.lists(st.tuples(scene_graphs(), scene_graphs(),
+                             st.lists(words, max_size=6).map(" ".join)), max_size=5)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(corpora, st.sampled_from([EMPTY_LEXICON, GROUP_LEX, OVERLAP_LEX]), st.booleans())
+@example([(g([(1, "cat")]), g([]), "cat"), (g([]), g([]), "")], EMPTY_LEXICON, True)
+def test_evaluate_corpus_equals_reference(regions, lex, limited):
+    args = [list(column) for column in zip(*regions)] or [[], [], []]
+    aggregate, rows = evaluate_corpus(*args, lex, limited=limited)
+    ref_aggregate, ref_rows = reference_evaluate_corpus(*args, lex, limited=limited)
+    assert aggregate == ref_aggregate and list(aggregate) == list(ref_aggregate)
+    assert rows == ref_rows

@@ -328,6 +328,16 @@ def _edit_manifest(base, edit):
                  id="missing-tokenizer_mode"),
     pytest.param(lambda m: m["train_config"].pop("batch_size"),
                  r"ckpt\.json: train_config lacks \['batch_size'\]", id="missing-batch_size"),
+    # parse would encode in the manifest's tokenizer mode, not the model's
+    pytest.param(lambda m: m["tokenizer"].update(mode="bpe"),
+                 r"tokenizer mode 'bpe' differs from model_config\.tokenizer_mode 'word'",
+                 id="mode-differs"),
+    pytest.param(lambda m: m["tokenizer"]["tokens"].__setitem__(4, 7),
+                 "tokens must be a list of strings", id="token-not-a-string"),
+    pytest.param(lambda m: m["tokenizer"].update(merges=["ab"]),
+                 "merge must be a list of two strings", id="merge-spelled-as-one-string"),
+    pytest.param(lambda m: m["tokenizer"].update(merges=[["a", "b", "c"]]),
+                 "merge must be a list of two strings", id="merge-of-three"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
