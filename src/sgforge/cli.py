@@ -25,7 +25,7 @@ from .data import (
     write_regions,
 )
 from .errors import ConfigError, IdMismatchError, SequenceTooLongError, SgforgeError
-from .graph import canonical_words
+from .graph import build_graph, canonical_words
 from .metrics import evaluate_corpus
 from .tags import NodeType, decode_tags_to_graph, read_conll, tagged, write_conll
 
@@ -50,6 +50,8 @@ def _lazy(name: str):
 _lazy(__package__ + ".tokenizer")  # loaded by model and train; registered like them
 model = _lazy(__package__ + ".model")
 train = _lazy(__package__ + ".train")
+
+_NO_GRAPH = build_graph([])  # of a region made from an --input line or a bare CONLL sentence
 
 
 class _UsageError(Exception):
@@ -106,12 +108,12 @@ def _load_regions(path: str) -> list[Region]:
     return regions
 
 
-def _write_graphs(path: str, items, sentences) -> None:
-    """Decode each tagged sentence and write it as a region record carrying
-    its item's (image id, region id, description)."""
+def _write_graphs(path: str, regions: list[Region], sentences) -> None:
+    """Decode each tagged sentence and write it as its region's record, with
+    the decoded graph in place of the region's own."""
     _write(path, write_regions([
-        Region(image_id, region_id, desc, decode_tags_to_graph(sent).graph)
-        for (image_id, region_id, desc), sent in zip(items, sentences)
+        Region(r.image_id, r.region_id, r.description, decode_tags_to_graph(sent).graph)
+        for r, sent in zip(regions, sentences)
     ]))
 
 
@@ -125,10 +127,6 @@ def _check_pairing(conll_path: str, sentences, regions_path: str, regions) -> No
         if len(sent) != n:
             raise IdMismatchError(f"{conll_path}: sentence {k} has {len(sent)} tokens, but "
                                   f"region {region.region_id} in {regions_path} has {n} words")
-
-
-def _too_long(path: str, region_id: int, n: int, max_len: int) -> str:
-    return f"{path}: region {region_id} has {n} tokens, more than max_len {max_len}"
 
 
 def _build_parser() -> _Parser:
@@ -240,17 +238,13 @@ def _cmd_train(args) -> int:
         image_ids = sorted({r.image_id for r in regions})
         cut = int(round(len(image_ids) * 0.9))  # the trailing 10% are the dev set
         spec = SplitSpec(frozenset(image_ids[:cut]), frozenset(image_ids[cut:]))
-    examples = [
-        train.Example(r.description, sent, r.graph) for r, sent in zip(regions, sentences)
-    ]
+    examples = [train.Example(r, sent) for r, sent in zip(regions, sentences)]
     train_pos, dev_pos = split(regions, spec)
     try:
         result = train.train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
                        model_cfg, train_cfg, log_fn=print)
     except SequenceTooLongError as e:
-        region = regions[(train_pos + dev_pos)[e.position]]
-        raise SequenceTooLongError(
-            _too_long(args.regions, region.region_id, e.tokens, model_cfg.max_len)) from None
+        raise SequenceTooLongError(f"{args.regions}: {e}") from None
     except ConfigError as e:  # the model config is too large for the tokenizer's vocabulary
         raise ConfigError(f"{args.model_config or 'model config'}: {e}") from None
     train.save_checkpoint(result.final, args.out)
@@ -263,27 +257,26 @@ def _cmd_parse(args) -> int:
         raise _UsageError("exactly one of --input or --regions is required")
     ckpt = train.load_checkpoint(args.ckpt)
     cfg = ckpt.model_config
-    if args.input is not None:
-        lines = [ln for ln in _read(args.input).splitlines() if ln.strip()]
-        items = [(i, i, ln) for i, ln in enumerate(lines)]
+    if args.input is not None:  # only "\n" ends a line; ids count the non-blank lines
+        lines = [ln for ln in _read(args.input).split("\n") if ln.strip()]
+        regions = [Region(i, i, ln, _NO_GRAPH) for i, ln in enumerate(lines)]
     else:
         regions = _load_regions(args.regions)
-        items = [(r.image_id, r.region_id, r.description) for r in regions]
     sents = model.predict(
-        ckpt.params, cfg, ckpt.tokenizer, [desc for _, _, desc in items],
+        ckpt.params, cfg, ckpt.tokenizer, [r.description for r in regions],
         ckpt.train_config.batch_size,
     )
-    for k, sent in enumerate(sents):
+    for k, (region, sent) in enumerate(zip(regions, sents)):
         if sent is None:  # too long for the model: reported, written untagged
-            _, region_id, desc = items[k]
-            n = len(ckpt.tokenizer.encode(desc)) - 1
-            print(f"sgforge: {_too_long(args.input or args.regions, region_id, n, cfg.max_len)}; "
-                  "written with an empty graph", file=sys.stderr)
-            sents[k] = tagged([(w, NodeType.NONE, 0) for w in canonical_words(desc)])
+            n = len(ckpt.tokenizer.encode(region.description)) - 1
+            print(f"sgforge: {args.input or args.regions}: region {region.region_id} has {n} "
+                  f"tokens, more than max_len {cfg.max_len}; written with an empty graph",
+                  file=sys.stderr)
+            sents[k] = tagged([(w, NodeType.NONE, 0) for w in canonical_words(region.description)])
     if args.format == "conll":
         _write(args.out, write_conll(sents))
     else:
-        _write_graphs(args.out, items, sents)
+        _write_graphs(args.out, regions, sents)
     return 0
 
 
@@ -312,12 +305,8 @@ def _cmd_eval(args) -> int:
                               f"{_missing(ref_ids, pred_by_id, args.pred)}")
     lex = _load_lexicon(args.lexicon)
     aggregate, rows = evaluate_corpus(
-        [pred_by_id[rid].graph for rid in ref_ids],
-        [r.graph for r in ref_regions],
-        [r.description for r in ref_regions],
-        lex,
+        [pred_by_id[rid].graph for rid in ref_ids], ref_regions, lex,
         limited=(args.mode == "limited"),
-        region_ids=ref_ids,
     )
     report = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     report += json.dumps({"aggregate": aggregate}, sort_keys=True) + "\n"
@@ -330,12 +319,12 @@ def _cmd_eval(args) -> int:
 def _cmd_convert(args) -> int:
     sentences = _load(args.infile, read_conll)
     if args.regions is None:  # regions are numbered 0, 1, ... in file order
-        items = [(i, i, " ".join(tok.form for tok in sent)) for i, sent in enumerate(sentences)]
+        regions = [Region(i, i, " ".join(tok.form for tok in sent), _NO_GRAPH)
+                   for i, sent in enumerate(sentences)]
     else:
-        source = _load_regions(args.regions)
-        _check_pairing(args.infile, sentences, args.regions, source)
-        items = [(r.image_id, r.region_id, r.description) for r in source]
-    _write_graphs(args.out, items, sentences)
+        regions = _load_regions(args.regions)
+        _check_pairing(args.infile, sentences, args.regions, regions)
+    _write_graphs(args.out, regions, sentences)
     return 0
 
 
@@ -350,13 +339,8 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as e:
-        print(f"sgforge: {e}", file=sys.stderr)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"sgforge: {e}", file=sys.stderr)

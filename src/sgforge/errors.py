@@ -26,13 +26,7 @@ class LengthMismatchError(SgforgeError):
 
 
 class SequenceTooLongError(SgforgeError):
-    """Input sequence exceeds the configured maximum length. Where known,
-    carries the sequence's position in the caller's list and its token count."""
-
-    def __init__(self, message: str, position: int | None = None, tokens: int | None = None):
-        super().__init__(message)
-        self.position = position
-        self.tokens = tokens
+    """Input sequence exceeds the configured maximum length."""
 
 
 class ShapeMismatchError(SgforgeError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .align import Lexicon, EMPTY_LEXICON, useful_word_count
+from .data import Region
 from .errors import IdMismatchError
 from .graph import SceneGraph, Tuples, extract_tuples
 
@@ -93,44 +94,34 @@ def spice_f1(
 
 def evaluate_corpus(
     predicted_graphs: list[SceneGraph],
-    reference_graphs: list[SceneGraph],
-    descriptions: list[str],
+    references: list[Region],
     lex: Lexicon = EMPTY_LEXICON,
     limited: bool = False,
-    region_ids: list | None = None,
 ) -> tuple[dict, list[dict]]:
     """Per-region scores plus a corpus aggregate read from them (mean of per-region F).
 
-    Regions with an empty reference tuple set are skipped and counted. The
-    three collections must be parallel; region_ids, when given, must match
-    them element-wise.
+    The i-th prediction is scored against the i-th reference region's graph;
+    each row carries that region's id. Regions with an empty reference tuple
+    set are skipped and counted.
     """
-    if not (len(predicted_graphs) == len(reference_graphs) == len(descriptions)):
-        raise IdMismatchError(
-            f"parallel collections expected, got {len(predicted_graphs)} predictions, "
-            f"{len(reference_graphs)} references, {len(descriptions)} descriptions"
-        )
-    if region_ids is None:
-        region_ids = list(range(len(reference_graphs)))
-    elif len(region_ids) != len(reference_graphs):
-        raise IdMismatchError("region_ids not parallel to graphs")
+    if len(predicted_graphs) != len(references):
+        raise IdMismatchError(f"parallel collections expected, got {len(predicted_graphs)} "
+                              f"predictions and {len(references)} references")
 
     rows: list[dict] = []
-    for rid, pred_g, ref_g, desc in zip(
-        region_ids, predicted_graphs, reference_graphs, descriptions
-    ):
-        ref_tuples = extract_tuples(ref_g)
+    for pred_g, ref in zip(predicted_graphs, references):
+        ref_tuples = extract_tuples(ref.graph)
         pred_tuples = extract_tuples(pred_g)
         if not ref_tuples:
             rows.append(
-                {"region_id": rid, "matches": 0, "num_pred": len(pred_tuples),
+                {"region_id": ref.region_id, "matches": 0, "num_pred": len(pred_tuples),
                  "num_ref": 0, "p": 0.0, "r": 0.0, "f": 0.0, "skipped": True}
             )
             continue
-        cap = useful_word_count(desc) if limited else None
+        cap = useful_word_count(ref.description) if limited else None
         s = spice_f1(pred_tuples, ref_tuples, lex, cap=cap)
         rows.append(
-            {"region_id": rid, "matches": s.matches, "num_pred": s.num_pred,
+            {"region_id": ref.region_id, "matches": s.matches, "num_pred": s.num_pred,
              "num_ref": s.num_ref, "p": s.precision, "r": s.recall, "f": s.f1}
         )
     scored = [row for row in rows if "skipped" not in row]
@@ -139,7 +130,7 @@ def evaluate_corpus(
         return sum(row[key] for row in scored) / len(scored) if scored else 0.0
 
     aggregate = {
-        "regions": len(reference_graphs),
+        "regions": len(references),
         "scored": len(scored),
         "skipped_empty_ref": len(rows) - len(scored),
         "mean_f": mean("f"),

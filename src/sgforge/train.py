@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import check_field_types
+from .data import Region, check_field_types
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -110,12 +110,11 @@ def adam_step(params: Params, grads: Params, state: AdamState, cfg: TrainConfig)
 
 @dataclass(frozen=True)
 class Example:
-    """One training or dev item: a description, its tagging target, and
-    the reference graph that dev scoring reads."""
+    """One training or dev item: a region, whose description is the input
+    and whose graph dev scoring reads, and its tagging target."""
 
-    description: str
+    region: Region
     target: TaggedSentence
-    graph: SceneGraph
 
 
 @dataclass
@@ -264,7 +263,7 @@ class TrainResult:
 def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Encoded]:
     out = []
     for ex in examples:
-        seq = tokenizer.encode(ex.description)
+        seq = tokenizer.encode(ex.region.description)
         types, parents = target_arrays(seq, ex.target)
         out.append(Encoded(seq, types, parents, ex))
     return out
@@ -280,11 +279,9 @@ def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
     for i, outputs in forward_batches(params, model_cfg, seqs, batch_size):
         enc = dev_encoded[i]
         losses[i] = loss_from_outputs(outputs, enc.types, enc.parents, loss_weight)
-        words = canonical_words(enc.example.description)
+        words = canonical_words(enc.example.region.description)
         graphs[i] = decode_tags_to_graph(read_tags(outputs, words, enc.seq.word_heads)).graph
-    examples = [enc.example for enc in dev_encoded]
-    aggregate, _ = evaluate_corpus(
-        graphs, [ex.graph for ex in examples], [ex.description for ex in examples])
+    aggregate, _ = evaluate_corpus(graphs, [enc.example.region for enc in dev_encoded])
     return sum(losses) / len(losses), aggregate["mean_f"]
 
 
@@ -305,7 +302,7 @@ def train(
     if not train_examples:
         raise EmptyDatasetError("no training examples")
     tokenizer = Tokenizer.from_corpus(
-        [ex.description for ex in train_examples], mode=model_cfg.tokenizer_mode
+        [ex.region.description for ex in train_examples], mode=model_cfg.tokenizer_mode
     )
     try:
         model_cfg = replace(model_cfg, vocab_size=tokenizer.vocab_size)
@@ -315,12 +312,11 @@ def train(
     params = init_params(model_cfg, seed=train_cfg.seed)
     train_enc = _encode_examples(tokenizer, train_examples)
     dev_enc = _encode_examples(tokenizer, dev_examples)
-    for k, enc in enumerate(train_enc + dev_enc):  # fail before the first step
+    for enc in train_enc + dev_enc:  # fail before the first step
         if len(enc.seq) > model_cfg.max_len + 1:
-            n = len(enc.seq) - 1
             raise SequenceTooLongError(
-                f"example {k} (train examples first, then dev) has {n} tokens, more than "
-                f"max_len {model_cfg.max_len}", position=k, tokens=n)
+                f"region {enc.example.region.region_id} has {len(enc.seq) - 1} tokens, "
+                f"more than max_len {model_cfg.max_len}")
 
     loss_weight = calibrate_lambda(params, model_cfg, train_enc[: train_cfg.batch_size])
 

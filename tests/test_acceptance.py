@@ -98,7 +98,7 @@ def test_a2_end_to_end_learning():
     examples = []
     for r in regions:
         result = align(r.description, r.graph)
-        examples.append(Example(r.description, result.tagged, r.graph))
+        examples.append(Example(r, result.tagged))
     cut = int(len(examples) * 0.9)
     result = train(
         examples[:cut],
@@ -119,11 +119,7 @@ def test_a3_oracle_roundtrip_exact():
     for r in regions:
         result = align(r.description, r.graph)
         decoded.append(decode_tags_to_graph(result.tagged).graph)
-    aggregate, _ = evaluate_corpus(
-        decoded,
-        [r.graph for r in regions],
-        [r.description for r in regions],
-    )
+    aggregate, _ = evaluate_corpus(decoded, regions)
     report("A3", aggregate["mean_f"] == 1.0, f"oracle aggregate F {aggregate['mean_f']}")
 
 
@@ -267,7 +263,7 @@ def test_a8_format_roundtrips_and_reproducibility(tmp_path):
     examples = []
     for r in regions:
         result = align(r.description, r.graph)
-        examples.append(Example(r.description, result.tagged, r.graph))
+        examples.append(Example(r, result.tagged))
     cfg = ModelConfig(vocab_size=0, d_model=32, n_layers=1, n_heads=2, d_ff=64,
                       max_len=16, d_qk=32)
     tcfg = TrainConfig(epochs=2, seed=13, batch_size=16)

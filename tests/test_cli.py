@@ -180,6 +180,20 @@ def test_parse_conll_and_graph_json(trained, tmp_path):
     assert records[0]["phrase"] == "blue bus"
 
 
+def test_parse_input_ends_lines_at_newline_only(trained, tmp_path):
+    # U+2028 and a form feed are whitespace inside a description, not line
+    # ends; a blank line is skipped and takes no id
+    _, _, ckpt_base = trained
+    texts = ["blue bus", "red\u2028bus on table", "cat\x0cdog"]
+    texts_file = tmp_path / "texts.txt"
+    texts_file.write_text(f"{texts[0]}\n \n{texts[1]}\n{texts[2]}\n", encoding="utf-8")
+    out = str(tmp_path / "pred.jsonl")
+    assert run(["parse", "--ckpt", ckpt_base, "--input", str(texts_file), "--out", out]) == 0
+    records = [json.loads(line) for line in open(out, encoding="utf-8")]
+    assert [r["phrase"] for r in records] == texts
+    assert [r["region_id"] for r in records] == [0, 1, 2]
+
+
 def test_parse_then_eval_on_dev_regions(trained, tmp_path, capsys):
     tmp, regions_file, ckpt_base = trained
     dev_file = str(tmp_path / "dev.jsonl")
@@ -275,6 +289,28 @@ def test_diverging_training_prints_one_line_and_no_warnings(tmp_path):
     assert proc.returncode == 2
     [line] = proc.stderr.splitlines()
     assert line.startswith("sgforge: training diverged at epoch ")
+
+
+def test_dev_loss_divergence_exits_2_and_writes_nothing(tmp_path, capsys):
+    # one step at learning rate 1e20 moves the parameters to about 1e20, still
+    # finite in float32, so the step passes its check and the dev pass overflows
+    regions_file = str(tmp_path / "regions.jsonl")
+    conll_file = str(tmp_path / "targets.conll")
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"learning_rate": 1e20, "epochs": 1, "batch_size": 8}))
+    assert run(["gen", "--n", "9", "--seed", "3", "--out", regions_file]) == 0  # 8 train, 1 dev
+    assert run(["align", "--regions", regions_file, "--out", conll_file]) == 0
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    capsys.readouterr()
+    code = run(["train", "--conll", conll_file, "--regions", regions_file,
+                "--train-config", str(train_cfg), "--out", str(out_dir / "ckpt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("sgforge: training diverged at epoch 1: "
+                            "non-finite parameters or dev loss\n")
+    assert captured.out == ""
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("side", ["pred", "ref"])

@@ -49,6 +49,12 @@ def test_config_validates():
         ModelConfig(vocab_size=10, d_model=10, n_heads=3)
 
 
+@pytest.mark.parametrize("field", ["vocab_size", "n_layers"])
+def test_config_rejects_negative_vocab_size_or_n_layers(field):
+    with pytest.raises(ValueError, match="vocab_size and n_layers must not be negative"):
+        ModelConfig(**{"vocab_size": 10, field: -1})
+
+
 def test_config_caps_the_parameter_count_without_allocating():
     tracemalloc.start()
     try:
@@ -191,6 +197,13 @@ def test_loss_length_mismatch():
     [out] = forward(params, SMALL, [small_seq(3)])
     with pytest.raises(LengthMismatchError):
         loss_from_outputs(out, np.zeros(2, dtype=int), np.zeros(2, dtype=int), 1.0)
+
+
+def test_loss_and_grads_length_mismatch():
+    params = init_params(SMALL, seed=0)
+    short = np.zeros(2, dtype=int)
+    with pytest.raises(LengthMismatchError, match="sequence has 3 positions, targets 2"):
+        loss_and_grads(params, SMALL, [small_seq(3)], [short], [short], 1.0)
 
 
 def batch_loss(params, cfg, seqs, types, parents, lam):

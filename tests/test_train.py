@@ -185,7 +185,7 @@ def synthetic_examples(n, seed=17):
     out = []
     for r in regions:
         result = align(r.description, r.graph)
-        out.append(Example(r.description, result.tagged, r.graph))
+        out.append(Example(r, result.tagged))
     return out
 
 
@@ -281,7 +281,7 @@ def test_checkpoint_forward_bit_exact(tmp_path):
     base = str(tmp_path / "ckpt")
     save_checkpoint(ckpt, base)
     loaded = load_checkpoint(base)
-    seq = loaded.tokenizer.encode(examples[0].description)
+    seq = loaded.tokenizer.encode(examples[0].region.description)
     [a] = forward(ckpt.params, ckpt.model_config, [seq])
     [b] = forward(loaded.params, loaded.model_config, [seq])
     assert np.array_equal(a.class_logits, b.class_logits)
@@ -332,6 +332,8 @@ def _edit_manifest(base, edit):
     pytest.param(lambda m: m["tokenizer"].update(mode="bpe"),
                  r"tokenizer mode 'bpe' differs from model_config\.tokenizer_mode 'word'",
                  id="mode-differs"),
+    pytest.param(lambda m: m["tokenizer"].update(mode="char"),
+                 "unknown tokenizer mode 'char'", id="mode-unknown"),
     pytest.param(lambda m: m["tokenizer"]["tokens"].__setitem__(4, 7),
                  "tokens must be a list of strings", id="token-not-a-string"),
     pytest.param(lambda m: m["tokenizer"].update(merges=["ab"]),
@@ -344,6 +346,13 @@ def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     with pytest.raises(CheckpointError, match=needle) as info:
         load_checkpoint(saved_checkpoint)
     assert saved_checkpoint in str(info.value)
+
+
+def test_load_checkpoint_rejects_a_manifest_that_is_not_an_object(saved_checkpoint):
+    with open(saved_checkpoint + ".json", "w") as f:
+        json.dump([1, 2], f)
+    with pytest.raises(CheckpointError, match=r"ckpt\.json: manifest is not a JSON object"):
+        load_checkpoint(saved_checkpoint)
 
 
 @pytest.mark.parametrize("edit", [
