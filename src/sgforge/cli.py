@@ -24,7 +24,13 @@ from .data import (
     split,
     write_regions,
 )
-from .errors import ConfigError, IdMismatchError, SequenceTooLongError, SgforgeError
+from .errors import (
+    ConfigError,
+    EmptyDatasetError,
+    IdMismatchError,
+    SequenceTooLongError,
+    SgforgeError,
+)
 from .graph import build_graph, canonical_words
 from .metrics import evaluate_corpus
 from .tags import NodeType, decode_tags_to_graph, read_conll, tagged, write_conll
@@ -243,6 +249,8 @@ def _cmd_train(args) -> int:
     try:
         result = train.train([examples[i] for i in train_pos], [examples[i] for i in dev_pos],
                        model_cfg, train_cfg, log_fn=print)
+    except EmptyDatasetError as e:  # no region is in a train image
+        raise EmptyDatasetError(f"{args.split or args.regions}: {e}") from None
     except SequenceTooLongError as e:
         raise SequenceTooLongError(f"{args.regions}: {e}") from None
     except ConfigError as e:  # the model config is too large for the tokenizer's vocabulary

@@ -136,7 +136,9 @@ def ingest(lines: list[str] | str) -> tuple[list[Region], list[tuple[int, str]]]
                            else f"EmptyLabel: {e}"))
         except DanglingReferenceError as e:
             errors.append((line_no, f"DanglingReference: {e}"))
-        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
+        except KeyError as e:
+            errors.append((line_no, f"Malformed: missing field {e}"))
+        except (TypeError, ValueError, OverflowError, RecursionError) as e:
             errors.append((line_no, f"Malformed: {e}"))
     return regions, errors
 

@@ -81,20 +81,14 @@ def learn_bpe(words: list[str], n_merges: int) -> list[tuple[str, str]]:
 
 
 def apply_bpe(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
-    """Split a word to characters, then apply merges in priority order."""
-    parts = list(word)
-    while len(parts) > 1:
-        best_rank = None
-        best_pos = -1
-        for i, pair in enumerate(zip(parts, parts[1:])):
-            rank = ranks.get(pair)
-            if rank is not None and (best_rank is None or rank < best_rank):
-                best_rank = rank
-                best_pos = i
-        if best_rank is None:
-            break
-        parts[best_pos : best_pos + 2] = [parts[best_pos] + parts[best_pos + 1]]
-    return parts
+    """Split a word to characters, then repeat the learner's step: merge every
+    occurrence of the best-ranked adjacent pair, until no pair is ranked."""
+    pieces = tuple(word)
+    while True:
+        ranked = [pair for pair in zip(pieces, pieces[1:]) if pair in ranks]
+        if not ranked:
+            return list(pieces)
+        pieces = _merge_word(pieces, min(ranked, key=ranks.get))
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,14 @@ class Tokenizer:
     def __post_init__(self):
         if self.mode not in ("word", "bpe"):
             raise ValueError(f"unknown tokenizer mode {self.mode!r}")
+        made = set()  # learn_bpe's order, in which apply_bpe repeats its merges
+        for a, b in self.merges:
+            unmade = [s for s in (a, b) if len(s) != 1 and s not in made]
+            if unmade:
+                raise ValueError(f"merge {a!r} {b!r} uses {unmade[0]!r} before a merge makes it")
+            if a + b in made:
+                raise ValueError(f"merge {a!r} {b!r} makes {a + b!r} a second time")
+            made.add(a + b)
         self._ids.update({tok: i for i, tok in enumerate(self.tokens)})
         self._ranks.update({pair: i for i, pair in enumerate(self.merges)})
 
@@ -120,21 +122,15 @@ class Tokenizer:
         return self._ids.get(token, UNK_ID)
 
     def encode(self, text: str) -> TokenSequence:
-        words = canonical_words(text)
         ids = [ROOT_ID]
         heads = []
-        if self.mode == "word":
-            for w in words:
-                ids.append(self._id(w))
-                heads.append(len(ids) - 1)
-        else:
-            for w in words:
-                pieces = self._pieces.get(w)
-                if pieces is None:
-                    pieces = self._pieces[w] = tuple(
-                        self._id(piece) for piece in apply_bpe(w, self._ranks))
-                ids.extend(pieces)
-                heads.append(len(ids) - 1)
+        for w in canonical_words(text):
+            pieces = self._pieces.get(w)
+            if pieces is None:
+                parts = [w] if self.mode == "word" else apply_bpe(w, self._ranks)
+                pieces = self._pieces[w] = tuple(map(self._id, parts))
+            ids.extend(pieces)
+            heads.append(len(ids) - 1)
         return TokenSequence(tuple(ids), tuple(heads))
 
     @classmethod
@@ -145,10 +141,6 @@ class Tokenizer:
             return cls("word", RESERVED + tuple(vocab))
         merges = learn_bpe(words, n_merges)
         chars = sorted({c for w in words for c in w})
-        symbols = list(chars)
-        for a, b in merges:
-            merged = a + b
-            if merged not in symbols:
-                symbols.append(merged)
-        return cls("bpe", RESERVED + tuple(symbols), tuple(merges))
+        made = [a + b for a, b in merges]  # in learning order, each merge makes a new symbol
+        return cls("bpe", RESERVED + tuple(chars + made), tuple(merges))
 

@@ -270,9 +270,10 @@ def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Enco
 
 
 def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
-    """Dev loss and dev F, both read from one batched forward pass."""
+    """Dev loss and dev F, both read from one batched forward pass; both are
+    None without a dev set."""
     if not dev_encoded:
-        return 0.0, None
+        return None, None
     losses = [0.0] * len(dev_encoded)
     graphs: list[SceneGraph | None] = [None] * len(dev_encoded)
     seqs = [enc.seq for enc in dev_encoded]
@@ -347,7 +348,7 @@ def train(
         dev_loss, dev_f = _dev_metrics(
             params, model_cfg, dev_enc, loss_weight, train_cfg.batch_size
         )
-        if not (math.isfinite(dev_loss) and _all_finite(params.values())):
+        if not ((dev_loss is None or math.isfinite(dev_loss)) and _all_finite(params.values())):
             raise TrainingDivergedError(
                 f"training diverged at epoch {epoch}: non-finite parameters or dev loss"
             )

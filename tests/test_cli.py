@@ -552,6 +552,42 @@ def test_train_count_mismatch_names_both_files(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl", "t.conll"]
 
 
+def test_train_with_no_training_examples_names_the_split(aligned, tmp_path, capsys):
+    regions_file, conll_file = aligned
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"train_image_ids": [10**6], "eval_image_ids": [0]}))
+    capsys.readouterr()
+    assert run(["train", "--conll", conll_file, "--regions", regions_file,
+                "--split", str(spec), "--out", str(tmp_path / "ckpt")]) == 2
+    assert capsys.readouterr().err == f"sgforge: {spec}: no training examples\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["s.json"]
+
+
+def test_train_on_empty_files_names_the_regions_file(tmp_path, capsys):
+    regions, conll = tmp_path / "r.jsonl", tmp_path / "t.conll"
+    regions.write_text("")
+    conll.write_text("")
+    assert run(["train", "--conll", str(conll), "--regions", str(regions),
+                "--out", str(tmp_path / "ckpt")]) == 2
+    assert capsys.readouterr().err == f"sgforge: {regions}: no training examples\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.jsonl", "t.conll"]
+
+
+def test_train_without_dev_set_prints_null_dev_loss(tmp_path, capsys):
+    # one image: the trailing 10% of image ids round to none, so no dev set
+    regions, conll = str(tmp_path / "r.jsonl"), str(tmp_path / "t.conll")
+    train_cfg = tmp_path / "train.json"
+    train_cfg.write_text(json.dumps({"epochs": 1}))
+    assert run(["gen", "--n", "1", "--out", regions]) == 0
+    assert run(["align", "--regions", regions, "--out", conll]) == 0
+    capsys.readouterr()
+    assert run(["train", "--conll", conll, "--regions", regions,
+                "--train-config", str(train_cfg), "--out", str(tmp_path / "ckpt")]) == 0
+    [line] = capsys.readouterr().out.splitlines()
+    record = json.loads(line)
+    assert (record["dev_loss"], record["dev_f"]) == (None, None)
+
+
 @pytest.mark.parametrize("command", ["train", "convert"])
 def test_word_count_mismatch_names_sentence_and_region(tmp_path, capsys, command):
     regions = _two_regions_with_ids_10_and_11(tmp_path)

@@ -90,10 +90,14 @@ TWO_OBJECTS = [{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}]
     # one spelling would silently win over the other
     (json.dumps(record(objects=TWO_OBJECTS, relations=[[1, "on", 2]])),
      "a region record may hold relations or relationships, not both"),
+    (json.dumps({"image_id": 1, "region_id": 5, "phrase": "red bus", "objects": [{"id": 1}]}),
+     "missing field 'label'"),
+    (json.dumps({"image_id": 1, "phrase": "red bus"}), "missing field 'region_id'"),
 ], ids=["list", "phrase", "object_label", "attribute_label", "relation_label", "huge_id",
         "deep_nesting", "float_object_id", "bool_region_id", "string_object_id",
         "float_image_id", "float_attribute_id", "bool_relation_id", "list_relation_id",
-        "negative_object_id", "relations_and_relationships"])
+        "negative_object_id", "relations_and_relationships", "missing_label",
+        "missing_region_id"])
 def test_ingest_wrongly_typed_record_is_malformed(line, reason):
     lines = [json.dumps(record()), line, json.dumps(record(region_id=11))]
     regions, errors = ingest("\n".join(lines))

@@ -217,6 +217,13 @@ def test_read_conll_rejects_other_index_and_head_spellings(row, needle):
     assert (exc.value.line, str(exc.value)) == (3, f"line 3: {needle}")
 
 
+def test_read_conll_rejects_negative_head():
+    # "-1" is a well-spelled integer, so it passes the spelling check
+    with pytest.raises(ParseError) as exc:
+        read_conll("1\tdog\t0\t_\tSUBJ\n\n1\tcat\t-1\tATTR\tATTR\n")
+    assert (exc.value.line, str(exc.value)) == (3, "line 3: negative HEAD -1")
+
+
 def test_read_conll_non_contiguous_index():
     with pytest.raises(ParseError) as exc:
         read_conll("1\tcat\t0\t_\tSUBJ\n3\tdog\t0\t_\tSUBJ\n")

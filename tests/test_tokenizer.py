@@ -1,13 +1,16 @@
 import sys
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgforge.data import SyntheticGrammar, generate_synthetic
 from sgforge.graph import canonical_words
 from sgforge.tokenizer import (
+    RESERVED,
     ROOT_ID,
     UNK_ID,
     TokenSequence,
@@ -158,3 +161,79 @@ def test_learn_bpe_equals_full_recount_on_generated_corpus():
     regions = generate_synthetic(SyntheticGrammar(), 400, seed=11)
     words = [w for r in regions for w in canonical_words(r.description)]
     assert learn_bpe(words, 200) == learn_bpe_full_recount(words, 200)
+
+
+def apply_bpe_first_occurrence(word, ranks):
+    """Reference apply: merges only the first occurrence of the best-ranked
+    pair per step, so each occurrence of a pair is merged in its own step."""
+    parts = list(word)
+    while len(parts) > 1:
+        best_rank = None
+        best_pos = -1
+        for i, pair in enumerate(zip(parts, parts[1:])):
+            rank = ranks.get(pair)
+            if rank is not None and (best_rank is None or rank < best_rank):
+                best_rank = rank
+                best_pos = i
+        if best_rank is None:
+            break
+        parts[best_pos : best_pos + 2] = [parts[best_pos] + parts[best_pos + 1]]
+    return parts
+
+
+def all_words(alphabet, longest):
+    return ["".join(letters) for n in range(1, longest + 1)
+            for letters in product(alphabet, repeat=n)]
+
+
+@pytest.mark.parametrize("alphabet, longest", [("ab", 7), ("abc", 5)])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_apply_bpe_equals_first_occurrence_apply_on_learned_merges(alphabet, longest, data):
+    # learned lists are in learning order, where merging every occurrence of a
+    # pair at once and merging them one step each give the same pieces
+    words = data.draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=9), max_size=25))
+    merges = learn_bpe(words, data.draw(st.integers(min_value=0, max_value=40)))
+    Tokenizer("bpe", RESERVED, tuple(merges))  # passes the learning-order check
+    ranks = {pair: i for i, pair in enumerate(merges)}
+    for w in all_words(alphabet, longest):
+        assert apply_bpe(w, ranks) == apply_bpe_first_occurrence(w, ranks)
+
+
+def from_corpus_symbol_loop(texts, n_merges=200):
+    """Reference BPE vocabulary: appends each merged symbol it has not yet seen."""
+    words = [w for t in texts for w in canonical_words(t)]
+    merges = learn_bpe(words, n_merges)
+    symbols = sorted({c for w in words for c in w})
+    for a, b in merges:
+        merged = a + b
+        if merged not in symbols:
+            symbols.append(merged)
+    return RESERVED + tuple(symbols), tuple(merges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="abc \t", max_size=20), max_size=12),
+       st.integers(min_value=0, max_value=60))
+def test_from_corpus_vocabulary_equals_symbol_loop(texts, n_merges):
+    tok = Tokenizer.from_corpus(texts, mode="bpe", n_merges=n_merges)
+    assert (tok.tokens, tok.merges) == from_corpus_symbol_loop(texts, n_merges)
+
+
+@pytest.mark.parametrize("merges, word, first_occurrence, every_occurrence, needle", [
+    # "aa" is used before any merge makes it
+    ([("aa", "a"), ("a", "a")], "aaaa", ["aaa", "a"], ["aa", "aa"],
+     "merge 'aa' 'a' uses 'aa' before a merge makes it"),
+    # "bab" is made twice, by the third and the fourth merge
+    ([("b", "a"), ("a", "b"), ("b", "ab"), ("bab", "ba"), ("ba", "b"), ("b", "b"),
+      ("babba", "ab")], "babbab", ["babba", "b"], ["bab", "bab"],
+     "merge 'ba' 'b' makes 'bab' a second time"),
+], ids=["used-before-made", "made-twice"])
+def test_tokenizer_rejects_merges_out_of_learning_order(merges, word, first_occurrence,
+                                                       every_occurrence, needle):
+    # out of learning order the two applies differ, so such a list is refused
+    ranks = {pair: i for i, pair in enumerate(merges)}
+    assert apply_bpe_first_occurrence(word, ranks) == first_occurrence
+    assert apply_bpe(word, ranks) == every_occurrence
+    with pytest.raises(ValueError, match=needle):
+        Tokenizer("bpe", RESERVED, tuple(merges))

@@ -340,6 +340,12 @@ def _edit_manifest(base, edit):
                  "merge must be a list of two strings", id="merge-spelled-as-one-string"),
     pytest.param(lambda m: m["tokenizer"].update(merges=[["a", "b", "c"]]),
                  "merge must be a list of two strings", id="merge-of-three"),
+    # lists learn_bpe never writes: apply_bpe would split words unlike the learner
+    pytest.param(lambda m: m["tokenizer"].update(merges=[["aa", "a"], ["a", "a"]]),
+                 "merge 'aa' 'a' uses 'aa' before a merge makes it", id="merge-used-before-made"),
+    pytest.param(lambda m: m["tokenizer"].update(merges=[
+        ["b", "a"], ["a", "b"], ["b", "ab"], ["bab", "ba"], ["ba", "b"], ["b", "b"],
+        ["babba", "ab"]]), "merge 'ba' 'b' makes 'bab' a second time", id="merge-made-twice"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
