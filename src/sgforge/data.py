@@ -231,14 +231,18 @@ def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int) -> list[Reg
     return regions
 
 
+# json.dumps with options builds a new encoder per call; this one is shared
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def write_regions(regions: list[Region]) -> str:
     """Regions JSONL that `ingest` reads back: one compact record per line,
     keys sorted."""
     lines = []
     for r in regions:
-        g = r.graph  # json.dumps writes its attribute and relation tuples as arrays
+        g = r.graph  # the encoder writes its attribute and relation tuples as arrays
         record = {"image_id": r.image_id, "region_id": r.region_id, "phrase": r.description,
                   "objects": [{"id": o.id, "label": o.label} for o in g.objects],
                   "attributes": g.attributes, "relationships": g.relations}
-        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+        lines.append(_RECORD_ENCODER.encode(record) + "\n")
     return "".join(lines)

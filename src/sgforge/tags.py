@@ -209,12 +209,20 @@ def _decimal(s: str) -> int | None:
 def read_conll(text: str) -> list[TaggedSentence]:
     """Parse CONLL text whose columns are spelled as write_conll writes them:
     INDEX and HEAD in plain decimal, and the writer's ARC_LABEL and NODE_TYPE
-    pairs. Raises ParseError with the offending line number."""
+    pairs. Raises ParseError with the offending line number.
+
+    Each distinct line is parsed once: a line seen before yields the same
+    token when its INDEX is the next position, and is parsed anew otherwise."""
     sentences: list[TaggedSentence] = []
     toks: list[TaggedToken] = []
+    parsed: dict[str, TaggedToken] = {}  # line -> its token, for lines that parsed cleanly
     lines = text.split("\n")
     lines.append("")  # ends the last sentence
     for line_no, line in enumerate(lines, start=1):
+        tok = parsed.get(line)
+        if tok is not None and tok.index == len(toks) + 1:
+            toks.append(tok)
+            continue
         if not line or line.isspace():
             if toks:
                 try:
@@ -237,6 +245,8 @@ def read_conll(text: str) -> list[TaggedSentence]:
                              else f"non-contiguous INDEX {n}, expected {index}")
         if not form:
             raise ParseError(line_no, "empty FORM")
+        if form.split() != [form]:  # canonical_words' rule: a token is one word
+            raise ParseError(line_no, f"FORM {form!r} is not one word")
         node_type = _TYPE_OF_TAIL.get((arc_s, type_s))
         if node_type is None:
             raise ParseError(line_no, f"ARC_LABEL {arc_s!r} and NODE_TYPE {type_s!r} match no "
@@ -254,5 +264,6 @@ def read_conll(text: str) -> list[TaggedSentence]:
             if parent < 0:
                 raise ParseError(line_no, f"negative HEAD {parent}")
         # one string per distinct form: a corpus repeats a small vocabulary
-        toks.append(TaggedToken(index, intern(form), node_type, parent))
+        parsed[line] = tok = TaggedToken(index, intern(form), node_type, parent)
+        toks.append(tok)
     return sentences

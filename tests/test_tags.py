@@ -182,14 +182,26 @@ def test_read_conll_head_out_of_range():
     with pytest.raises(ParseError, match="HEAD 9 exceeds sentence length 4") as exc:
         read_conll(bad)
     assert exc.value.line == 3
+    # line 5 repeats line 1, whose HEAD 3 fit the first sentence but not the second
+    reused = ("1\tred\t3\tATTR\tATTR\n2\tand\t_\t_\t_\n3\tbus\t0\t_\tSUBJ\n\n"
+              "1\tred\t3\tATTR\tATTR\n2\tbus\t0\t_\tSUBJ\n")
+    with pytest.raises(ParseError) as exc:
+        read_conll(reused)
+    assert (exc.value.line, str(exc.value)) == (5, "line 5: HEAD 3 exceeds sentence length 2")
 
 
-# write_conll spells a NONE row with "_" in HEAD, ARC_LABEL and NODE_TYPE, and
-# read_conll takes no other spelling
+# write_conll spells a NONE row as one word, then "_" in HEAD, ARC_LABEL and
+# NODE_TYPE, and read_conll takes no other spelling; the parent's reader took a
+# FORM with whitespace, whose phrase then had more words than its sentence tokens
 @pytest.mark.parametrize("row, needle", [
     ("2\tdog\t_\t_\tNONE", "NODE_TYPE 'NONE'"),
     ("2\tdog\t1\t_\t_", "HEAD '1' on a NONE row"),
-], ids=["none_spelled_out", "head_on_none_row"])
+    ("2\tice cream\t_\t_\t_", "FORM 'ice cream' is not one word"),
+    ("2\t \t_\t_\t_", "FORM ' ' is not one word"),
+    ("2\tdog\xa0\t_\t_\t_", r"FORM 'dog\\xa0' is not one word"),
+    ("2\t\t_\t_\t_", "empty FORM"),
+], ids=["none_spelled_out", "head_on_none_row", "form_two_words", "form_blank",
+        "form_no_break_space", "form_empty"])
 def test_read_conll_rejects_other_none_row_spellings(row, needle):
     with pytest.raises(ParseError, match=needle) as exc:
         read_conll(f"1\tcat\t0\t_\tSUBJ\n{row}\n")
@@ -228,6 +240,24 @@ def test_read_conll_non_contiguous_index():
     with pytest.raises(ParseError) as exc:
         read_conll("1\tcat\t0\t_\tSUBJ\n3\tdog\t0\t_\tSUBJ\n")
     assert exc.value.line == 2
+    # a line read before, repeated at a position its INDEX does not fit
+    for text, message in [
+        ("1\tcat\t0\t_\tSUBJ\n1\tcat\t0\t_\tSUBJ\n", "non-contiguous INDEX 1, expected 2"),
+        ("1\tcat\t0\t_\tSUBJ\n2\tred\t1\tATTR\tATTR\n\n2\tred\t1\tATTR\tATTR\n",
+         "non-contiguous INDEX 2, expected 1"),
+    ]:
+        line = text.count("\n")
+        with pytest.raises(ParseError) as exc:
+            read_conll(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
+def test_read_conll_repeated_line_yields_one_token():
+    first, second = read_conll("1\tred\t2\tATTR\tATTR\n2\tbus\t0\t_\tSUBJ\n\n"
+                               "1\tred\t2\tATTR\tATTR\n2\tcar\t0\t_\tSUBJ\n")
+    assert first.tokens[0] is second.tokens[0]
+    assert first.tokens[1] == TaggedToken(2, "bus", T.SUBJ, 0)
+    assert second.tokens[1] == TaggedToken(2, "car", T.SUBJ, 0)
 
 
 def test_read_conll_wrong_column_count():
@@ -322,6 +352,8 @@ def read_conll_reference(text: str) -> list[TaggedSentence]:
             raise ParseError(line_no, f"non-contiguous INDEX {index}, expected {len(rows) + 1}")
         if not form:
             raise ParseError(line_no, "empty FORM")
+        if form.split() != [form]:
+            raise ParseError(line_no, f"FORM {form!r} is not one word")
         node_type = type_of_tail.get((arc_s, type_s))
         if node_type is None:
             raise ParseError(line_no, f"ARC_LABEL {arc_s!r} and NODE_TYPE {type_s!r} match no "
@@ -380,6 +412,48 @@ def test_read_conll_equals_reference_on_corrupted_text(sents, data):
     if got != want:
         assert col in (0, 2) and _other_int_spelling(value), (got, want)
         assert got == (k + 1, f"line {k + 1}: bad {'INDEX' if col == 0 else 'HEAD'} {value!r}")
+
+
+@st.composite
+def repetitive_conll_lines(draw):
+    """The lines of 2-8 short sentences over two forms and 2-3 node types, so
+    equal lines recur within and across sentences."""
+    kinds = draw(st.lists(node_types, min_size=2, max_size=3, unique=True))
+    sents = []
+    for _ in range(draw(st.integers(2, 8))):
+        n = draw(st.integers(1, 3))
+        sents.append(tagged([(draw(st.sampled_from(["red", "bus"])), draw(st.sampled_from(kinds)),
+                              draw(st.integers(0, n))) for _ in range(n)]))
+    return write_conll(sents).split("\n")
+
+
+# Copying, inserting and deleting lines puts a line read before at a position
+# its INDEX may not fit, and a HEAD that fit one sentence into a shorter one.
+@given(repetitive_conll_lines(), st.data())
+@settings(max_examples=500)
+def test_read_conll_equals_reference_on_repetitive_text(lines, data):
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(lines) - 1))
+        op = data.draw(st.sampled_from(["copy", "insert", "delete", "field"]))
+        if op == "copy":
+            lines[k] = lines[data.draw(st.integers(0, len(lines) - 1))]
+        elif op == "insert":
+            lines.insert(k, lines[data.draw(st.integers(0, len(lines) - 1))])
+        elif op == "delete":
+            del lines[k]
+        else:
+            cols = lines[k].split("\t")
+            cols[data.draw(st.integers(0, len(cols) - 1))] = data.draw(conll_fields)
+            lines[k] = "\t".join(cols)
+    text = "\n".join(lines)
+    got, want = _read_outcome(read_conll, text), _read_outcome(read_conll_reference, text)
+    if got != want:  # only an INDEX or HEAD that int() reads and write_conll never writes
+        assert isinstance(got, tuple), (got, want)
+        line_no, message = got
+        cols = lines[line_no - 1].split("\t")
+        assert any(message == f"line {line_no}: bad {name} {cols[c]!r}"
+                   and _other_int_spelling(cols[c]) for c, name in [(0, "INDEX"), (2, "HEAD")]), (
+            got, want)
 
 
 # Reference writer: one `_row` call and two `Enum.name` lookups per token.
