@@ -58,6 +58,7 @@ model = _lazy(__package__ + ".model")
 train = _lazy(__package__ + ".train")
 
 _NO_GRAPH = build_graph([])  # of a region made from an --input line or a bare CONLL sentence
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(..., sort_keys=True), made once
 
 
 class _UsageError(Exception):
@@ -116,9 +117,14 @@ def _load_regions(path: str) -> list[Region]:
 
 def _write_graphs(path: str, regions: list[Region], sentences) -> None:
     """Decode each tagged sentence and write it as its region's record, with
-    the decoded graph in place of the region's own."""
+    the decoded graph in place of the region's own. A sentence object that
+    recurs, as `predict` gives one to identical descriptions, is decoded once."""
+    graphs = {}  # by id(); `sentences` keeps each key's object alive
+    for sent in sentences:
+        if id(sent) not in graphs:
+            graphs[id(sent)] = decode_tags_to_graph(sent).graph
     _write(path, write_regions([
-        Region(r.image_id, r.region_id, r.description, decode_tags_to_graph(sent).graph)
+        Region(r.image_id, r.region_id, r.description, graphs[id(sent)])
         for r, sent in zip(regions, sentences)
     ]))
 
@@ -316,8 +322,8 @@ def _cmd_eval(args) -> int:
         [pred_by_id[rid].graph for rid in ref_ids], ref_regions, lex,
         limited=(args.mode == "limited"),
     )
-    report = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    report += json.dumps({"aggregate": aggregate}, sort_keys=True) + "\n"
+    report = "".join(_REPORT_ENCODER.encode(row) + "\n" for row in rows)
+    report += _REPORT_ENCODER.encode({"aggregate": aggregate}) + "\n"
     _write(args.out, report)
     if args.out != "-":
         print(json.dumps({"aggregate_f": aggregate["mean_f"]}))

@@ -14,7 +14,7 @@ finite differences.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +63,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Logits of one example. `_forward` returns them for a whole batch with a
-    leading batch axis and right padding, though its backbone computes on the
-    packed real tokens only."""
+    """Logits of one example. `_forward` and `forward_batches` give them for a
+    whole batch with a leading batch axis and right padding, though the
+    backbone computes on the packed real tokens only."""
 
     class_logits: np.ndarray  # (T, N_NODE_TYPES)
     parent_logits: np.ndarray  # (T, T+1), column 0 is ROOT
@@ -309,13 +309,14 @@ def forward(params: Params, cfg: ModelConfig, seqs: list[TokenSequence]) -> list
 
 def forward_batches(
     params: Params, cfg: ModelConfig, seqs: list[TokenSequence], batch_size: int
-) -> Iterator[tuple[int, ModelOutputs]]:
-    """Yield (index, outputs) for every sequence, running `forward` on
-    length-sorted batches of batch_size so that batches carry little padding."""
+) -> Iterator[tuple[list[int], ModelOutputs]]:
+    """Run length-sorted batches of batch_size, so that batches carry little
+    padding, and yield each batch's indices into seqs with its right-padded
+    outputs as `_forward` returns them: row k belongs to seqs[indices[k]]."""
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
-        yield from zip(chunk, forward(params, cfg, [seqs[i] for i in chunk]))
+        yield chunk, _forward(params, cfg, *_pad(cfg, [seqs[i] for i in chunk]))[0]
 
 
 def target_arrays(seq: TokenSequence, target: TaggedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -351,6 +352,13 @@ def _loss_weights(types: np.ndarray, loss_weight: float = 1.0):
     arcs = valid & (types != int(NodeType.NONE))
     w_class = valid / np.maximum(valid.sum(-1, keepdims=True), 1)
     return w_class, arcs * (loss_weight / np.maximum(arcs.sum(-1, keepdims=True), 1))
+
+
+def pad_targets(types: list[np.ndarray], parents: list[np.ndarray],
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example target arrays right-padded into two (B, width) arrays, with
+    type -1 and parent 0 on padded rows, as `loss_terms` takes them."""
+    return _rows(types, width, -1), _rows(parents, width, 0)
 
 
 def loss_terms(
@@ -417,8 +425,7 @@ def loss_and_grads(params: Params, cfg: ModelConfig, seqs: list[TokenSequence],
     for n, ty, pa in zip(lengths, types, parents):
         if len(ty) != n - 1 or len(pa) != n - 1:
             raise LengthMismatchError(f"sequence has {n - 1} positions, targets {len(ty)}")
-    tgt_types = _rows(types, L - 1, -1)
-    tgt_parents = _rows(parents, L - 1, 0)
+    tgt_types, tgt_parents = pad_targets(types, parents, L - 1)
     caches: list[dict] = []
     outputs, real, hidden, q_head, k_head = _forward(params, cfg, ids, lengths, caches)
     class_term, parent_term = loss_terms(outputs, tgt_types, tgt_parents)
@@ -451,31 +458,54 @@ def loss_and_grads(params: Params, cfg: ModelConfig, seqs: list[TokenSequence],
     return loss, grads
 
 
-def read_tags(outputs: ModelOutputs, words: list[str],
-              word_heads: tuple[int, ...]) -> TaggedSentence:
-    """Greedy readout: argmax node type per word head, argmax parent over
-    word-head positions and ROOT. Ties break toward the lowest index; parents
-    are reported as word indices, not subword positions."""
-    heads = np.array(word_heads, dtype=np.int64)
-    types = outputs.class_logits[heads - 1].argmax(axis=-1)
-    # candidate column j is ROOT for j = 0, else the head of word j
-    parents = outputs.parent_logits[heads - 1][:, np.concatenate(([0], heads))].argmax(axis=-1)
-    return TaggedSentence(tuple(
-        TaggedToken(i, words[i - 1], NodeType(t), p)
-        for i, (t, p) in enumerate(zip(types.tolist(), parents.tolist()), start=1)
-    ))
+_NODE_TYPES = tuple(NodeType)  # indexed by class id
+
+
+def read_tags(outputs: ModelOutputs, words: list[Sequence[str]],
+              word_heads: list[tuple[int, ...]]) -> list[TaggedSentence]:
+    """Greedy readout of a right-padded batch, as `forward_batches` yields it,
+    given each example's words and word heads: argmax node type per word head,
+    argmax parent over ROOT and the example's word-head positions. Ties break
+    toward the lowest index; parents are reported as word indices, not
+    subword positions."""
+    B, T = outputs.class_logits.shape[:2]
+    word_of = np.zeros((B, T + 1), dtype=np.int64)  # column j: the word whose head is j, or 0
+    for row, heads in zip(word_of, word_heads):
+        row[list(heads)] = range(1, len(heads) + 1)
+    candidate = word_of > 0
+    candidate[:, 0] = True  # ROOT
+    types = outputs.class_logits.argmax(axis=-1).tolist()
+    parent_pos = np.where(candidate[:, None, :], outputs.parent_logits, -np.inf).argmax(axis=-1)
+    parents = np.take_along_axis(word_of, parent_pos, axis=-1).tolist()
+    return [
+        TaggedSentence(tuple(
+            TaggedToken(i, w, _NODE_TYPES[ty[h - 1]], pa[h - 1])
+            for i, (w, h) in enumerate(zip(ws, heads), start=1)
+        ))
+        for ws, heads, ty, pa in zip(words, word_heads, types, parents)
+    ]
 
 
 def predict(
     params: Params, cfg: ModelConfig, tokenizer: Tokenizer, texts: list[str], batch_size: int
 ) -> list[TaggedSentence | None]:
-    """Tag every text. Texts run in length-sorted batches of batch_size; the
-    result keeps input order. A text of more than cfg.max_len tokens is not
-    run and gets None."""
-    seqs = [tokenizer.encode(text) for text in texts]
-    fits = [i for i, seq in enumerate(seqs) if len(seq) <= cfg.max_len + 1]
-    tagged: list[TaggedSentence | None] = [None] * len(texts)
-    for j, out in forward_batches(params, cfg, [seqs[i] for i in fits], batch_size):
-        i = fits[j]
-        tagged[i] = read_tags(out, canonical_words(texts[i]), seqs[i].word_heads)
-    return tagged
+    """Tag every text, each distinct word sequence (`canonical_words`) once:
+    texts with the same words share one TaggedSentence. The distinct
+    sequences run in length-sorted batches of batch_size; the result keeps
+    input order. A text of more than cfg.max_len tokens is not run and gets
+    None."""
+    first: dict[tuple[str, ...], str] = {}  # each distinct word sequence -> its first text
+    keys = []
+    for text in texts:
+        key = tuple(canonical_words(text))
+        first.setdefault(key, text)
+        keys.append(key)
+    words = list(first)
+    seqs = [tokenizer.encode(text) for text in first.values()]
+    fits = [k for k, seq in enumerate(seqs) if len(seq) <= cfg.max_len + 1]
+    tagged: dict[tuple[str, ...], TaggedSentence] = {}
+    for chunk, outputs in forward_batches(params, cfg, [seqs[k] for k in fits], batch_size):
+        chunk = [fits[j] for j in chunk]
+        sents = read_tags(outputs, [words[k] for k in chunk], [seqs[k].word_heads for k in chunk])
+        tagged.update(zip((words[k] for k in chunk), sents))
+    return [tagged.get(key) for key in keys]

@@ -30,8 +30,8 @@ from .model import (
     forward_batches,
     init_params,
     loss_and_grads,
-    loss_from_outputs,
     loss_terms,
+    pad_targets,
     param_shapes,
     read_tags,
     target_arrays,
@@ -270,20 +270,26 @@ def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Enco
 
 
 def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
-    """Dev loss and dev F, both read from one batched forward pass; both are
-    None without a dev set."""
+    """Dev loss and dev F, both read from one batched forward pass: each
+    length-sorted batch gets one `loss_terms` call on its padded targets and
+    one `read_tags` call. Both are None without a dev set."""
     if not dev_encoded:
         return None, None
-    losses = [0.0] * len(dev_encoded)
+    total_loss = 0.0
     graphs: list[SceneGraph | None] = [None] * len(dev_encoded)
     seqs = [enc.seq for enc in dev_encoded]
-    for i, outputs in forward_batches(params, model_cfg, seqs, batch_size):
-        enc = dev_encoded[i]
-        losses[i] = loss_from_outputs(outputs, enc.types, enc.parents, loss_weight)
-        words = canonical_words(enc.example.region.description)
-        graphs[i] = decode_tags_to_graph(read_tags(outputs, words, enc.seq.word_heads)).graph
+    for chunk, outputs in forward_batches(params, model_cfg, seqs, batch_size):
+        batch = [dev_encoded[i] for i in chunk]
+        targets = pad_targets([enc.types for enc in batch], [enc.parents for enc in batch],
+                              outputs.class_logits.shape[1])
+        class_term, parent_term = loss_terms(outputs, *targets)
+        total_loss += float(np.sum(class_term + loss_weight * parent_term))
+        words = [canonical_words(enc.example.region.description) for enc in batch]
+        sents = read_tags(outputs, words, [enc.seq.word_heads for enc in batch])
+        for i, sent in zip(chunk, sents):
+            graphs[i] = decode_tags_to_graph(sent).graph
     aggregate, _ = evaluate_corpus(graphs, [enc.example.region for enc in dev_encoded])
-    return sum(losses) / len(losses), aggregate["mean_f"]
+    return total_loss / len(dev_encoded), aggregate["mean_f"]
 
 
 def _all_finite(arrays) -> bool:

@@ -689,6 +689,24 @@ def test_parse_over_length_description_gets_empty_output(trained, tmp_path, caps
                 assert r[key] == o[key]
 
 
+def test_parse_reports_each_copy_of_a_repeated_over_length_description(trained, tmp_path,
+                                                                        capsys):
+    # predict tags a repeated description once, but every region is reported
+    _, _, ckpt_base = trained
+    long_line = " ".join(["red"] * 19 + ["bus"])
+    texts_file = tmp_path / "texts.txt"
+    texts_file.write_text(f"{long_line}\nblue bus\n{long_line}\nblue bus\n")
+    capsys.readouterr()
+    assert run(["parse", "--ckpt", ckpt_base, "--input", str(texts_file), "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split(" has ")[0] for line in captured.err.splitlines()] == [
+        f"sgforge: {texts_file}: region 0", f"sgforge: {texts_file}: region 2"]
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["region_id"] for r in records] == [0, 1, 2, 3]
+    assert records[0]["objects"] == records[2]["objects"] == []
+    assert records[1]["objects"] == records[3]["objects"]
+
+
 def test_blank_graph_label_is_reported_as_empty_label(tmp_path, capsys):
     bad = tmp_path / "el.jsonl"
     bad.write_text('{"image_id":1,"region_id":1,"phrase":"red bus",'

@@ -301,7 +301,8 @@ def test_read_tags_constructed_logits():
         one_hot(6, int(T.SUBJ)),
     ])
     par = np.stack([one_hot(5, 4), one_hot(5, 0), one_hot(5, 4), one_hot(5, 0)])
-    sent = read_tags(ModelOutputs(cls, par), ["blue", "and", "red", "bus"], (1, 2, 3, 4))
+    [sent] = read_tags(ModelOutputs(cls[None], par[None]), [["blue", "and", "red", "bus"]],
+                       [(1, 2, 3, 4)])
     assert [(t.form, t.node_type, t.parent) for t in sent] == [
         ("blue", T.ATTR, 4),
         ("and", T.NONE, 0),
@@ -321,7 +322,7 @@ def test_read_tags_bpe_restricts_parents_to_word_heads():
         [0.0, 0.0, 0.0, 0.0],
         [0.0, 9.0, 5.0, 0.0],
     ])
-    sent = read_tags(ModelOutputs(cls, par), ["big", "cat"], (2, 3))
+    [sent] = read_tags(ModelOutputs(cls[None], par[None]), [["big", "cat"]], [(2, 3)])
     assert len(sent) == 2
     assert sent.tokens[1].parent == 1  # position 2 is word 1
 
@@ -340,6 +341,12 @@ def read_tags_per_word(outputs, words, word_heads):
     return TaggedSentence(tuple(tokens))
 
 
+def random_word_heads(rng, t):
+    """Word-final positions of t subwords: a random cut, always ending at t."""
+    cuts = [int(h) for h in np.flatnonzero(rng.random(t) < 0.6) + 1 if h < t]
+    return (*cuts, t) if t else ()
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_read_tags_equals_per_word_argmax(seed):
     # small integer logits tie often, so the lowest-index tie-break is exercised
@@ -347,12 +354,38 @@ def test_read_tags_equals_per_word_argmax(seed):
 
     rng = np.random.default_rng(seed)
     t = int(rng.integers(0, 9))
-    cuts = np.flatnonzero(rng.random(t) < 0.6) + 1  # word-final positions
-    word_heads = tuple(int(h) for h in cuts) if t == 0 or cuts[-1] == t else (*map(int, cuts), t)
+    word_heads = random_word_heads(rng, t)
     outputs = ModelOutputs(rng.integers(0, 3, size=(t, 6)).astype(np.float32),
                            rng.integers(0, 3, size=(t, t + 1)).astype(np.float32))
     words = [f"w{i}" for i in range(len(word_heads))]
-    assert read_tags(outputs, words, word_heads) == read_tags_per_word(outputs, words, word_heads)
+    batch = ModelOutputs(outputs.class_logits[None], outputs.parent_logits[None])
+    assert read_tags(batch, [words], [word_heads]) == [read_tags_per_word(outputs, words,
+                                                                          word_heads)]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_batched_read_tags_equals_per_word_on_each_slice(seed):
+    # a padded batch of 1-6 examples of different lengths and word-head cuts,
+    # laid out as `_forward` returns it: class logits of padded rows are 0,
+    # parent logits are -inf on every column past the example's length. Small
+    # integer logits tie often, so the lowest-index tie-break is exercised.
+    from sgforge.model import ModelOutputs, read_tags
+
+    rng = np.random.default_rng(100 + seed)
+    lengths = rng.integers(0, 9, size=int(rng.integers(1, 7)))
+    T = int(lengths.max())
+    cls = np.zeros((len(lengths), T, 6), dtype=np.float32)
+    par = np.full((len(lengths), T, T + 1), -np.inf, dtype=np.float32)
+    par[:, :, 0] = 0.0
+    heads, words, expected = [], [], []
+    for b, t in enumerate(lengths.tolist()):
+        cls[b, :t] = rng.integers(0, 3, size=(t, 6))
+        par[b, :, : t + 1] = rng.integers(0, 3, size=(T, t + 1))
+        heads.append(random_word_heads(rng, t))
+        words.append([f"w{b}.{i}" for i in range(len(heads[-1]))])
+        alone = ModelOutputs(cls[b, :t], par[b, :t, : t + 1])
+        expected.append(read_tags_per_word(alone, words[-1], heads[-1]))
+    assert read_tags(ModelOutputs(cls, par), words, heads) == expected
 
 
 def test_predict_uniform_logits_tie_break():
@@ -382,6 +415,30 @@ def test_predict_forms_are_canonical_words():
     params = init_params(cfg, seed=0)
     [sent] = predict(params, cfg, tok, ["Blue  BUS"], 32)
     assert [t.form for t in sent] == ["blue", "bus"]
+
+
+def test_predict_tags_each_distinct_word_sequence_once():
+    tok = Tokenizer.from_corpus(["blue bus", "red cat"], mode="word")
+    cfg = ModelConfig(vocab_size=tok.vocab_size, d_model=16, n_layers=1, n_heads=2,
+                      d_ff=16, max_len=8, d_qk=16)
+    params = init_params(cfg, seed=3)
+    texts = ["Blue  BUS", "blue bus", "red cat"]
+    sents = predict(params, cfg, tok, texts, 2)
+    assert sents[0] is sents[1]
+    distinct = ["blue bus", "red cat"]
+    by_words = dict(zip(distinct, predict(params, cfg, tok, distinct, 2)))
+    assert sents == [by_words[" ".join(text.lower().split())] for text in texts]
+
+
+def test_predict_gives_none_to_each_copy_of_an_over_length_text():
+    tok = Tokenizer.from_corpus(["blue bus"], mode="word")
+    cfg = ModelConfig(vocab_size=tok.vocab_size, d_model=16, n_layers=1, n_heads=2,
+                      d_ff=16, max_len=3, d_qk=16)
+    params = init_params(cfg, seed=0)
+    long_text = "blue bus blue bus"
+    sents = predict(params, cfg, tok, [long_text, "blue bus", long_text.upper()], 32)
+    assert sents[0] is None and sents[2] is None
+    assert [t.form for t in sents[1]] == ["blue", "bus"]
 
 
 def random_batch(rng, lengths):

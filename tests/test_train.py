@@ -8,7 +8,7 @@ import pytest
 from sgforge.align import align
 from sgforge.data import SyntheticGrammar, generate_synthetic
 from sgforge.errors import CheckpointError, EmptyDatasetError, ShapeMismatchError
-from sgforge.model import ModelConfig, forward, init_params, param_shapes
+from sgforge.model import ModelConfig, forward, init_params, loss_from_outputs, param_shapes
 from sgforge.tags import NodeType, tagged
 from sgforge.tokenizer import TokenSequence, Tokenizer
 from sgforge.train import (
@@ -17,6 +17,8 @@ from sgforge.train import (
     Encoded,
     Example,
     TrainConfig,
+    _dev_metrics,
+    _encode_examples,
     adam_step,
     calibrate_lambda,
     load_checkpoint,
@@ -238,6 +240,22 @@ def test_train_logs_epoch_records():
     for line in lines:
         rec = json.loads(line)
         assert {"epoch", "step", "train_loss", "dev_loss", "dev_f", "lambda"} <= set(rec)
+
+
+def test_dev_loss_is_the_mean_of_per_example_losses():
+    # the dev loss sums `loss_terms` over each padded batch; the reference runs
+    # every example alone through `loss_from_outputs`. Padding and batching
+    # move only the last float32 bits.
+    examples = synthetic_examples(23, seed=5)
+    tok = Tokenizer.from_corpus([ex.region.description for ex in examples])
+    cfg = replace(DESK_SMALL, vocab_size=tok.vocab_size)
+    params = init_params(cfg, seed=4)
+    dev = _encode_examples(tok, examples)
+    assert len({len(enc.seq) for enc in dev}) > 1
+    dev_loss, _ = _dev_metrics(params, cfg, dev, 0.7, 4)
+    alone = [loss_from_outputs(forward(params, cfg, [enc.seq])[0], enc.types, enc.parents, 0.7)
+             for enc in dev]
+    assert dev_loss == pytest.approx(np.mean(alone), rel=1e-6)
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
