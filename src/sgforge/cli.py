@@ -17,7 +17,6 @@ from .align import EMPTY_LEXICON, Lexicon, align
 from .data import (
     Region,
     SplitSpec,
-    SyntheticGrammar,
     generate_synthetic,
     ingest,
     object_with_keys,
@@ -80,6 +79,14 @@ def _read(path: str) -> str:
             return f.read()
     except UnicodeDecodeError as e:
         raise SgforgeError(f"{path}: not UTF-8 text: {e}") from None
+
+
+def _check_one_stdin(args) -> None:
+    """Standard input can be read once: a second input given as "-" would read it empty."""
+    flags = ["--in" if dest == "infile" else "--" + dest.replace("_", "-")
+             for dest, value in vars(args).items() if value == "-" and dest not in ("out", "ckpt")]
+    if len(flags) > 1:
+        raise _UsageError(f"{' and '.join(flags)} both read standard input; give - to one only")
 
 
 def _write(path: str, text: str) -> None:
@@ -147,7 +154,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a synthetic regions file")
-    p.add_argument("--grammar", help="grammar JSON; defaults to the built-in grammar")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -192,10 +198,7 @@ def _cmd_gen(args) -> int:
     for flag, value in (("--n", args.n), ("--seed", args.seed)):
         if value < 0:
             raise _UsageError(f"{flag} must not be negative, got {value}")
-    grammar = (SyntheticGrammar() if args.grammar is None
-               else _load(args.grammar, SyntheticGrammar.from_json))
-    regions = generate_synthetic(grammar, args.n, seed=args.seed)
-    _write(args.out, write_regions(regions))
+    _write(args.out, write_regions(generate_synthetic(args.n, seed=args.seed)))
     return 0
 
 
@@ -355,6 +358,7 @@ _COMMANDS = {
 def run(argv: list[str]) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _check_one_stdin(args)
         return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"sgforge: {e}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Region datasets: JSONL ingestion, image-id splits, and a synthetic corpus.
 
-The one codec of region records, split specs and grammars, and of the JSON
-value rules that the configs and the CLI share.
+The one codec of region records and split specs, and of the JSON value rules
+that the configs and the CLI share.
 
 The synthetic generator exists so the whole pipeline can be exercised at desk
 scale: every generated region aligns to its graph with coverage 1.0, so the
@@ -11,11 +11,9 @@ oracle upper bound is exactly 1.0 and any score gap is model error.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass, fields
 
-from .align import STOPWORDS
 from .errors import DanglingReferenceError, EmptyLabelError
 from .graph import SceneGraph, build_graph
 
@@ -96,6 +94,18 @@ def _label(value) -> str:
     return value
 
 
+def _entries(record: dict, key: str, size: int) -> list:
+    """record[key] or []: a list of JSON objects, or of lists of `size` items if size > 0."""
+    items = record.get(key, [])
+    kind, what = (list, f"lists of {size} elements") if size else (dict, "JSON objects")
+    if type(items) is not list:
+        raise TypeError(f"{key} must be a list of {what}, got {json.dumps(items)}")
+    for item in items:
+        if type(item) is not kind or (size and len(item) != size):
+            raise TypeError(f"{key} must be a list of {what}, got {json.dumps(item)} in it")
+    return items
+
+
 def region_from_dict(record: dict) -> Region:
     """A region record as `write_regions` writes it, or with `relations`."""
     if not isinstance(record, dict):
@@ -107,12 +117,13 @@ def region_from_dict(record: dict) -> Region:
         raise TypeError(f"phrase must be a string, got {phrase!r}")
     if not phrase.strip():
         raise EmptyLabelError(_BLANK_PHRASE)
+    relations = "relations" if "relations" in record else "relationships"
     graph = build_graph(
-        [(_uint(o["id"], "object id"), _label(o["label"])) for o in record.get("objects", [])],
+        [(_uint(o["id"], "object id"), _label(o["label"])) for o in _entries(record, "objects", 0)],
         [(_uint(oid, "attribute object id"), _label(label))
-         for oid, label in record.get("attributes", [])],
+         for oid, label in _entries(record, "attributes", 2)],
         [(_uint(sid, "relation subject id"), _label(label), _uint(oid, "relation object id"))
-         for sid, label, oid in record.get("relations", record.get("relationships", []))],
+         for sid, label, oid in _entries(record, relations, 3)],
     )
     return Region(json_int(record["image_id"], "image_id"),
                   json_int(record["region_id"], "region_id"), phrase, graph)
@@ -151,80 +162,44 @@ def split(regions: list[Region], spec: SplitSpec) -> tuple[list[int], list[int]]
     return train, eval_
 
 
-@dataclass(frozen=True)
-class SyntheticGrammar:
-    objects: tuple[str, ...] = (
-        "bus", "cat", "dog", "man", "woman", "car", "tree", "house",
-        "bird", "horse", "table", "kite",
-    )
-    attributes: tuple[str, ...] = (
-        "blue", "red", "green", "tall", "small", "old", "shiny", "dark",
-        "round", "striped",
-    )
-    # multi-word relations exercise SAME resolution end to end
-    relations: tuple[str, ...] = (
-        "on", "under", "behind", "beside", "holds", "above",
-        "in front of", "next to",
-    )
-    pattern_weights: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0)
-
-    def __post_init__(self):
-        for key in ("objects", "attributes", "relations"):
-            vocab = getattr(self, key)
-            if not vocab or not all(isinstance(w, str) and w.strip() for w in vocab):
-                raise ValueError(f"{key} must be a non-empty list of non-blank strings")
-            if set(vocab) & STOPWORDS:
-                raise ValueError("grammar vocabularies must not contain stopwords")
-        weights = self.pattern_weights
-        if not (len(weights) == 4 and all(type(w) in (int, float) and w >= 0 for w in weights)
-                and 0 < sum(weights) < math.inf):
-            raise ValueError("pattern_weights must be four non-negative numbers with a finite, "
-                             "positive sum")
-
-    @classmethod
-    def from_json(cls, text: str) -> "SyntheticGrammar":
-        """The grammar a JSON object describes; an absent key keeps its default."""
-        d = object_with_keys(text, "grammar", [f.name for f in fields(cls)])
-        if not all(isinstance(v, list) for v in d.values()):
-            raise TypeError("objects, attributes, relations and pattern_weights must be lists")
-        return cls(**{key: tuple(v) for key, v in d.items()})
+OBJECTS = ("bus", "cat", "dog", "man", "woman", "car", "tree", "house", "bird", "horse",
+           "table", "kite")
+ATTRIBUTES = ("blue", "red", "green", "tall", "small", "old", "shiny", "dark", "round",
+              "striped")
+# multi-word relations exercise SAME resolution end to end
+RELATIONS = ("on", "under", "behind", "beside", "holds", "above", "in front of", "next to")
 
 
-def generate_synthetic(grammar: SyntheticGrammar, n: int, seed: int) -> list[Region]:
+def generate_synthetic(n: int, seed: int) -> list[Region]:
     """Generate n regions whose descriptions and graphs match exactly.
 
-    Patterns: "<attr> <obj>", "<attr> and <attr> <obj>", "<obj> <rel> <obj>",
-    "<attr> <obj> <rel> the <obj>". Deterministic under the seed.
+    Equally likely patterns: "<attr> <obj>", "<attr> and <attr> <obj>",
+    "<obj> <rel> <obj>", "<attr> <obj> <rel> the <obj>". Deterministic under the seed.
     """
     rng = random.Random(seed)
-
-    def pick_two(vocab):
-        # distinct when possible; a one-word vocabulary repeats
-        return tuple(rng.sample(vocab, 2)) if len(vocab) >= 2 else (vocab[0], vocab[0])
-
     regions: list[Region] = []
     patterns = [0, 1, 2, 3]
     for i in range(n):
-        pattern = rng.choices(patterns, weights=grammar.pattern_weights)[0]
+        pattern = rng.choices(patterns)[0]  # not rng.choice, which draws another stream
         if pattern == 0:
-            attr = rng.choice(grammar.attributes)
-            obj = rng.choice(grammar.objects)
+            attr = rng.choice(ATTRIBUTES)
+            obj = rng.choice(OBJECTS)
             desc = f"{attr} {obj}"
             graph = build_graph([(1, obj)], [(1, attr)])
         elif pattern == 1:
-            a1, a2 = pick_two(grammar.attributes)
-            obj = rng.choice(grammar.objects)
+            a1, a2 = rng.sample(ATTRIBUTES, 2)
+            obj = rng.choice(OBJECTS)
             desc = f"{a1} and {a2} {obj}"
             graph = build_graph([(1, obj)], [(1, a1), (1, a2)])
         elif pattern == 2:
-            o1, o2 = pick_two(grammar.objects)
-            rel = rng.choice(grammar.relations)
+            o1, o2 = rng.sample(OBJECTS, 2)
+            rel = rng.choice(RELATIONS)
             desc = f"{o1} {rel} {o2}"
             graph = build_graph([(1, o1), (2, o2)], [], [(1, rel, 2)])
         else:
-            attr = rng.choice(grammar.attributes)
-            o1, o2 = pick_two(grammar.objects)
-            rel = rng.choice(grammar.relations)
+            attr = rng.choice(ATTRIBUTES)
+            o1, o2 = rng.sample(OBJECTS, 2)
+            rel = rng.choice(RELATIONS)
             desc = f"{attr} {o1} {rel} the {o2}"
             graph = build_graph([(1, o1), (2, o2)], [(1, attr)], [(1, rel, 2)])
         regions.append(Region(image_id=i, region_id=i, description=desc, graph=graph))

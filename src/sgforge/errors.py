@@ -46,8 +46,7 @@ class TrainingDivergedError(SgforgeError):
 
 
 class ConfigError(SgforgeError):
-    """A config, split, lexicon or grammar file is malformed or names a bad
-    field value."""
+    """A config, split or lexicon file is malformed or names a bad field value."""
 
 
 class CheckpointError(SgforgeError):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from sgforge.align import Lexicon, align
-from sgforge.data import SyntheticGrammar, generate_synthetic
+from sgforge.data import generate_synthetic
 from sgforge.graph import Tuples, extract_tuples
 from sgforge.metrics import evaluate_corpus, match_count, spice_f1, tuple_match
 from sgforge.model import (
@@ -94,7 +94,7 @@ def test_a1_gradient_correctness():
 def test_a2_end_to_end_learning():
     """A2: 2000 synthetic regions, 90/10 split, 4 epochs, dev F >= 0.90."""
     start = time.monotonic()
-    regions = generate_synthetic(SyntheticGrammar(), 2000, seed=17)
+    regions = generate_synthetic(2000, seed=17)
     examples = []
     for r in regions:
         result = align(r.description, r.graph)
@@ -114,7 +114,7 @@ def test_a2_end_to_end_learning():
 
 def test_a3_oracle_roundtrip_exact():
     """A3: align -> decode -> score on the synthetic corpus is exactly 1.0."""
-    regions = generate_synthetic(SyntheticGrammar(), 2000, seed=17)
+    regions = generate_synthetic(2000, seed=17)
     decoded = []
     for r in regions:
         result = align(r.description, r.graph)
@@ -259,7 +259,7 @@ def test_a8_format_roundtrips_and_reproducibility(tmp_path):
     text = write_conll([sent, sent2])
     conll_ok = write_conll(read_conll(text)) == text and read_conll(text) == [sent, sent2]
 
-    regions = generate_synthetic(SyntheticGrammar(), 60, seed=9)
+    regions = generate_synthetic(60, seed=9)
     examples = []
     for r in regions:
         result = align(r.description, r.graph)

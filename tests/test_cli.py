@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -461,22 +462,16 @@ def test_parse_bad_checkpoint_is_one_line_naming_the_file(trained, tmp_path, cap
     assert not (tmp_path / "pred.jsonl").exists()
 
 
-@pytest.mark.parametrize("flag, command, text", [
-    ("--lexicon", "align", "[1, 2]"),
-    ("--lexicon", "align", '{"a": "bc"}'),
-    ("--lexicon", "eval", '{"a": [1]}'),
-    ("--lexicon", "eval", "{"),
-    ("--lexicon", "align", '{"car": [""]}'),
-    ("--lexicon", "eval", '{" ": ["car"]}'),
-    ("--grammar", "gen", "[]"),
-    ("--grammar", "gen", '{"objects": 5}'),
-    ("--grammar", "gen", '{"objects": []}'),
-    ("--grammar", "gen", '{"attributes": ["red", 7]}'),
-    ("--grammar", "gen", '{"pattern_weights": [0, 0, 0, 0]}'),
-    ("--grammar", "gen", '{"seed": "x"}'),
-    pytest.param("--grammar", "gen", "[" * 100000 + "]" * 100000, id="deep_nesting"),
+@pytest.mark.parametrize("command, text", [
+    ("align", "[1, 2]"),
+    ("align", '{"a": "bc"}'),
+    ("eval", '{"a": [1]}'),
+    ("eval", "{"),
+    ("align", '{"car": [""]}'),
+    ("eval", '{" ": ["car"]}'),
+    pytest.param("align", "[" * 100000 + "]" * 100000, id="deep_nesting"),
 ])
-def test_bad_lexicon_or_grammar_is_data_error(aligned, tmp_path, capsys, flag, command, text):
+def test_bad_lexicon_is_data_error(aligned, tmp_path, capsys, command, text):
     regions_file, _ = aligned
     bad = tmp_path / "bad.json"
     bad.write_text(text)
@@ -484,22 +479,30 @@ def test_bad_lexicon_or_grammar_is_data_error(aligned, tmp_path, capsys, flag, c
     argv = {
         "align": ["align", "--regions", regions_file, "--out", out],
         "eval": ["eval", "--pred", regions_file, "--ref", regions_file, "--out", out],
-        "gen": ["gen", "--n", "3", "--out", out],
     }[command]
     capsys.readouterr()
-    assert run(argv + [flag, str(bad)]) == 2
+    assert run(argv + ["--lexicon", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
 
 
-def test_unknown_grammar_key_is_data_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    # "seed" is unknown too: the corpus seed is gen --seed, and only that
-    for grammar, key in (({"objectz": ["ship"]}, "objectz"), ({"seed": 3}, "seed")):
-        (tmp_path / "g.json").write_text(json.dumps(grammar))
-        capsys.readouterr()
-        assert run(["gen", "--grammar", "g.json", "--n", "3", "--out", "o.jsonl"]) == 2
-        assert capsys.readouterr().err == f"sgforge: g.json: unknown grammar keys: ['{key}']\n"
-        assert not (tmp_path / "o.jsonl").exists()
+@pytest.mark.parametrize("argv, flags", [
+    (["eval", "--pred", "-", "--ref", "-"], "--pred and --ref"),
+    (["train", "--conll", "-", "--regions", "-"], "--conll and --regions"),
+    (["convert", "--in", "-", "--regions", "-"], "--in and --regions"),
+    (["align", "--regions", "-", "--lexicon", "-"], "--regions and --lexicon"),
+], ids=["eval", "train", "convert", "align"])
+def test_two_inputs_from_stdin_are_usage_error(aligned, tmp_path, capsys, monkeypatch,
+                                                argv, flags):
+    # the second read of stdin would be empty and blamed on the data
+    regions_file, _ = aligned
+    with open(regions_file) as f:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f.read()))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sgforge: {flags} both read standard input; give - to one only\n"
+    assert not out.exists()
 
 
 def _two_regions_with_ids_10_and_11(tmp_path):

@@ -1,8 +1,8 @@
 """Corrupted input files and odd argument values never crash the CLI: every
 command ends with exit code 0, 1 or 2, and no exception escapes `cli.run`.
 
-Each example takes valid regions, CONLL, lexicon, grammar, config or split
-files, corrupts one of them (a JSON value replaced, deleted or added, a CONLL field
+Each example takes valid regions, CONLL, lexicon, config or split files,
+corrupts one of them (a JSON value replaced, deleted or added, a CONLL field
 rewritten, text spliced in, raw bytes inserted, or the file truncated) and
 runs every command that reads that kind of file. Other examples give a
 subcommand's options values such as a missing path, a directory, "-", a
@@ -30,8 +30,6 @@ from sgforge.cli import _build_parser, run
 # small enough that a corrupted config still trains in milliseconds
 MODEL_CONFIG = {"d_model": 8, "n_layers": 1, "n_heads": 2, "d_ff": 16, "max_len": 16, "d_qk": 8}
 TRAIN_CONFIG = {"epochs": 1, "batch_size": 4}
-GRAMMAR = {"objects": ["cat", "bus"], "attributes": ["red", "old"],
-           "relations": ["on", "next to"]}
 LEXICON = {"cat": ["kitty"], "bus": ["auto", "coach"]}
 SPLIT = {"train_image_ids": list(range(8)), "eval_image_ids": [8, 9, 10, 11]}
 
@@ -59,7 +57,6 @@ COMMANDS = {
         ["eval", "--pred", "{w}/regions.jsonl", "--ref", "{w}/regions.jsonl",
          "--lexicon", "{bad}", "--out", "{w}/report"],
     ],
-    "grammar": [["gen", "--grammar", "{bad}", "--n", "6", "--out", "{w}/gen.jsonl"]],
     "model": [
         ["train", "--conll", "{w}/targets.conll", "--regions", "{w}/regions.jsonl",
          "--model-config", "{bad}", "--train-config", "{w}/train.json", "--out", "{w}/out-ckpt"],
@@ -75,8 +72,7 @@ COMMANDS = {
     ],
 }
 SOURCES = {"regions": "regions.jsonl", "conll": "targets.conll", "lexicon": "lexicon.json",
-           "grammar": "grammar.json", "model": "model.json", "train": "train.json",
-           "split": "split.json"}
+           "model": "model.json", "train": "train.json", "split": "split.json"}
 
 # integers stay small, so a corrupted model config never asks for a large model
 json_values = st.recursive(
@@ -90,7 +86,7 @@ field_names = st.sampled_from([
     "id", "label", "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "max_len", "d_qk",
     "tokenizer_mode", "n_classes", "loss_weight", "learning_rate", "adam_beta1", "adam_beta2",
     "adam_epsilon", "epochs", "batch_size", "seed", "lambda_mode", "lambda_value",
-    "pattern_weights", "train_image_ids", "eval_image_ids",
+    "train_image_ids", "eval_image_ids",
 ]) | st.text(max_size=6)
 # "01", "+1", " 1" and "1_0" are int() spellings that write_conll never writes
 conll_fields = st.sampled_from(["_", "0", "1", "2", "-1", "99", "x", "SUBJ", "PRED", "OBJT",
@@ -113,11 +109,9 @@ def cli_err(argv) -> tuple[int, str]:
 def work(tmp_path_factory):
     w = tmp_path_factory.mktemp("fuzz")
     for name, obj in (("model.json", MODEL_CONFIG), ("train.json", TRAIN_CONFIG),
-                      ("grammar.json", GRAMMAR), ("lexicon.json", LEXICON),
-                      ("split.json", SPLIT)):
+                      ("lexicon.json", LEXICON), ("split.json", SPLIT)):
         (w / name).write_text(json.dumps(obj))
-    assert cli(["gen", "--grammar", f"{w}/grammar.json", "--n", "12",
-                "--out", f"{w}/regions.jsonl"]) == 0
+    assert cli(["gen", "--n", "12", "--out", f"{w}/regions.jsonl"]) == 0
     assert cli(["align", "--regions", f"{w}/regions.jsonl", "--out", f"{w}/targets.conll"]) == 0
     assert cli(["train", "--conll", f"{w}/targets.conll", "--regions", f"{w}/regions.jsonl",
                 "--model-config", f"{w}/model.json", "--train-config", f"{w}/train.json",

@@ -2,11 +2,13 @@ import json
 
 import pytest
 
-from sgforge.align import align
+from sgforge.align import STOPWORDS, align
 from sgforge.data import (
+    ATTRIBUTES,
+    OBJECTS,
+    RELATIONS,
     Region,
     SplitSpec,
-    SyntheticGrammar,
     generate_synthetic,
     ingest,
     region_from_dict,
@@ -93,11 +95,30 @@ TWO_OBJECTS = [{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}]
     (json.dumps({"image_id": 1, "region_id": 5, "phrase": "red bus", "objects": [{"id": 1}]}),
      "missing field 'label'"),
     (json.dumps({"image_id": 1, "phrase": "red bus"}), "missing field 'region_id'"),
+    (json.dumps(record(objects="bus")), 'objects must be a list of JSON objects, got "bus"'),
+    (json.dumps(record(objects=None)), "objects must be a list of JSON objects, got null"),
+    (json.dumps(record(objects=[["bus"]])),
+     'objects must be a list of JSON objects, got ["bus"] in it'),
+    (json.dumps(record(attributes=[[1, "red", 3]])),
+     'attributes must be a list of lists of 2 elements, got [1, "red", 3] in it'),
+    (json.dumps(record(attributes=[{"1": "red"}])),
+     'attributes must be a list of lists of 2 elements, got {"1": "red"} in it'),
+    (json.dumps(record(attributes=["1r"])),
+     'attributes must be a list of lists of 2 elements, got "1r" in it'),
+    (json.dumps(record(objects=TWO_OBJECTS, relationships=[[1, "on"]])),
+     'relationships must be a list of lists of 3 elements, got [1, "on"] in it'),
+    (json.dumps(record(relationships=None)),
+     "relationships must be a list of lists of 3 elements, got null"),
+    (json.dumps({"image_id": 1, "region_id": 5, "phrase": "bus on cat", "objects": TWO_OBJECTS,
+                 "relations": {"on": 2}}),
+     'relations must be a list of lists of 3 elements, got {"on": 2}'),
 ], ids=["list", "phrase", "object_label", "attribute_label", "relation_label", "huge_id",
         "deep_nesting", "float_object_id", "bool_region_id", "string_object_id",
         "float_image_id", "float_attribute_id", "bool_relation_id", "list_relation_id",
         "negative_object_id", "relations_and_relationships", "missing_label",
-        "missing_region_id"])
+        "missing_region_id", "string_objects", "null_objects", "list_object",
+        "attribute_triple", "attribute_object", "attribute_string", "relation_pair",
+        "null_relationships", "object_relations"])
 def test_ingest_wrongly_typed_record_is_malformed(line, reason):
     lines = [json.dumps(record()), line, json.dumps(record(region_id=11))]
     regions, errors = ingest("\n".join(lines))
@@ -162,20 +183,19 @@ def test_split_same_image_stays_together():
 
 
 def test_generate_deterministic():
-    g = SyntheticGrammar()
-    a = generate_synthetic(g, 50, seed=4)
-    b = generate_synthetic(g, 50, seed=4)
+    a = generate_synthetic(50, seed=4)
+    b = generate_synthetic(50, seed=4)
     assert a == b
-    c = generate_synthetic(g, 50, seed=5)
+    c = generate_synthetic(50, seed=5)
     assert a != c
 
 
 def test_generate_zero():
-    assert generate_synthetic(SyntheticGrammar(), 0, seed=0) == []
+    assert generate_synthetic(0, seed=0) == []
 
 
 def test_generated_regions_align_perfectly():
-    regions = generate_synthetic(SyntheticGrammar(), 200, seed=17)
+    regions = generate_synthetic(200, seed=17)
     for r in regions:
         result = align(r.description, r.graph)
         assert result.coverage == 1.0, r
@@ -185,23 +205,16 @@ def test_generated_regions_align_perfectly():
 
 
 def test_generated_regions_roundtrip_jsonl():
-    regions = generate_synthetic(SyntheticGrammar(), 20, seed=3)
+    regions = generate_synthetic(20, seed=3)
     text = write_regions(regions)
     back, errors = ingest(text)
     assert errors == []
     assert back == regions
 
 
-def test_grammar_rejects_stopwords():
-    with pytest.raises(ValueError):
-        SyntheticGrammar(objects=("cat", "the"))
-
-
-def test_grammar_from_json():
-    g = SyntheticGrammar.from_json(
-        json.dumps({"objects": ["cat"], "attributes": ["red"],
-                    "relations": ["on"]})
-    )
-    assert g.objects == ("cat",)
-    regions = generate_synthetic(g, 5, seed=9)
-    assert all("cat" in r.description for r in regions)
+@pytest.mark.parametrize("vocab", [OBJECTS, ATTRIBUTES, RELATIONS],
+                         ids=["objects", "attributes", "relations"])
+def test_builtin_vocabulary_gives_full_coverage(vocab):
+    # two distinct words for the patterns that draw two; a stopword would go unaligned
+    assert len(set(vocab)) >= 2 and all(w.strip() for w in vocab)
+    assert not {word for entry in vocab for word in entry.split()} & STOPWORDS

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgforge.data import SyntheticGrammar, generate_synthetic
+from sgforge.data import generate_synthetic
 from sgforge.graph import canonical_words
 from sgforge.tokenizer import (
     RESERVED,
@@ -158,7 +158,7 @@ def test_learn_bpe_equals_full_recount_until_exhausted(words):
 
 
 def test_learn_bpe_equals_full_recount_on_generated_corpus():
-    regions = generate_synthetic(SyntheticGrammar(), 400, seed=11)
+    regions = generate_synthetic(400, seed=11)
     words = [w for r in regions for w in canonical_words(r.description)]
     assert learn_bpe(words, 200) == learn_bpe_full_recount(words, 200)
 

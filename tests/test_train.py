@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sgforge.align import align
-from sgforge.data import SyntheticGrammar, generate_synthetic
+from sgforge.data import generate_synthetic
 from sgforge.errors import CheckpointError, EmptyDatasetError, ShapeMismatchError
 from sgforge.model import ModelConfig, forward, init_params, loss_from_outputs, param_shapes
 from sgforge.tags import NodeType, tagged
@@ -183,7 +183,7 @@ def test_calibrate_lambda_equal_means():
 
 
 def synthetic_examples(n, seed=17):
-    regions = generate_synthetic(SyntheticGrammar(), n, seed=seed)
+    regions = generate_synthetic(n, seed=seed)
     out = []
     for r in regions:
         result = align(r.description, r.graph)
