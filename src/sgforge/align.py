@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .data import json_list, json_object
 from .graph import SceneGraph, canonical_words, canonicalize_label
 from .tags import NodeType, TaggedSentence, TaggedToken
 
@@ -41,14 +42,9 @@ class Lexicon:
 
     @classmethod
     def from_json(cls, text: str) -> "Lexicon":
-        mapping = json.loads(text)
-        if not (isinstance(mapping, dict) and all(
-            isinstance(syns, list) and all(isinstance(s, str) for s in syns)
-            for syns in mapping.values()
-        )):
-            raise TypeError("a lexicon must be a JSON object mapping each label to a list of "
-                            "strings")
-        return cls.from_pairs(mapping)
+        mapping = json_object(json.loads(text), "lexicon")
+        return cls.from_pairs({label: json_list(syns, f"the synonyms of {json.dumps(label)}", str)
+                               for label, syns in mapping.items()})
 
     def __bool__(self) -> bool:
         """False when the table holds no synonym pair, as EMPTY_LEXICON."""

@@ -19,7 +19,7 @@ from .data import (
     SplitSpec,
     generate_synthetic,
     ingest,
-    object_with_keys,
+    json_object,
     split,
     write_regions,
 )
@@ -103,8 +103,6 @@ def _load(path: str, parse):
         return parse(_read(path))
     except SgforgeError as e:  # a CONLL line, a blank lexicon label
         raise SgforgeError(f"{path}: {e}") from None
-    except KeyError as e:
-        raise ConfigError(f"{path}: missing field {e}") from None
     except (TypeError, ValueError, RecursionError) as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -229,14 +227,10 @@ def _config(cls, path: str | None, kind: str, **fixed):
     """A config dataclass built from its defaults, the keys of the JSON file
     at `path` (if any) and `fixed`, which the file may not set. A key or
     value it rejects is a data error that names the file."""
+    if path is None:
+        return cls(**fixed)
     keys = [f.name for f in fields(cls) if f.name not in fixed]
-    kwargs = {}
-    if path is not None:
-        kwargs = _load(path, lambda text: object_with_keys(text, "config", keys))
-    try:
-        return cls(**kwargs, **fixed)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{path or kind}: {e}") from None
+    return _load(path, lambda text: cls(**json_object(json.loads(text), kind, keys), **fixed))
 
 
 def _cmd_train(args) -> int:

@@ -1,7 +1,8 @@
 """Region datasets: JSONL ingestion, image-id splits, and a synthetic corpus.
 
 The one codec of region records and split specs, and of the JSON value rules
-that the configs and the CLI share.
+that every file the CLI reads is checked by: `json_object`, `json_list`,
+`json_int`, `json_str` and, for the two configs, `check_field_types`.
 
 The synthetic generator exists so the whole pipeline can be exercised at desk
 scale: every generated region aligns to its graph with coverage 1.0, so the
@@ -27,15 +28,41 @@ def json_int(value, field: str) -> int:
     return value
 
 
-def object_with_keys(text: str, kind: str, keys) -> dict:
-    """Parse a JSON object that may hold only the given keys."""
-    d = json.loads(text)
-    if not isinstance(d, dict):
-        raise TypeError(f"a {kind} must be a JSON object")
-    unknown = set(d) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown {kind} keys: {sorted(unknown)}")
-    return d
+def json_str(value, field: str) -> str:
+    """value, if it is a JSON string."""
+    if type(value) is not str:
+        raise TypeError(f"{field} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def json_object(value, kind: str, keys=None, required=()) -> dict:
+    """value, if it is a JSON object that holds every key in `required` and,
+    unless `keys` is None, no key outside `keys`."""
+    if type(value) is not dict:
+        raise TypeError(f"{kind} must be a JSON object, got {json.dumps(value)}")
+    if keys is not None and value.keys() - keys:
+        raise ValueError(f"unknown {kind} keys: {sorted(value.keys() - keys)}")
+    missing = [k for k in required if k not in value]
+    if missing:
+        raise ValueError(f"{kind} lacks {missing}")
+    return value
+
+
+def json_list(value, field: str, kind: type, size: int = 0) -> list:
+    """value, if it is a JSON list of `kind` items (dict, list, str or int;
+    a bool is no int), each a list of `size` items if size > 0."""
+    if type(value) is list:
+        for item in value:
+            if type(item) is not kind or (size and len(item) != size):
+                break
+        else:
+            return value
+        got = f"{json.dumps(item)} in it"
+    else:
+        got = json.dumps(value)
+    what = f"lists of {size} elements" if size else {
+        dict: "JSON objects", list: "lists", str: "strings", int: "integers"}[kind]
+    raise TypeError(f"{field} must be a list of {what}, got {got}")
 
 
 _FIELD_TYPES = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
@@ -74,11 +101,8 @@ class SplitSpec:
     @classmethod
     def from_json(cls, text: str) -> "SplitSpec":
         keys = ("train_image_ids", "eval_image_ids")
-        d = object_with_keys(text, "split spec", keys)
-        for key in keys:
-            if not isinstance(d[key], list):
-                raise TypeError(f"{key} must be a list of integers, got {json.dumps(d[key])}")
-        return cls(*(frozenset(json_int(i, f"an id in {key}") for i in d[key]) for key in keys))
+        d = json_object(json.loads(text), "split spec", keys, keys)
+        return cls(*(frozenset(json_list(d[key], key, int)) for key in keys))
 
 
 def _uint(value, field: str) -> int:
@@ -88,42 +112,23 @@ def _uint(value, field: str) -> int:
     return value
 
 
-def _label(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"labels must be strings, got {value!r}")
-    return value
-
-
-def _entries(record: dict, key: str, size: int) -> list:
-    """record[key] or []: a list of JSON objects, or of lists of `size` items if size > 0."""
-    items = record.get(key, [])
-    kind, what = (list, f"lists of {size} elements") if size else (dict, "JSON objects")
-    if type(items) is not list:
-        raise TypeError(f"{key} must be a list of {what}, got {json.dumps(items)}")
-    for item in items:
-        if type(item) is not kind or (size and len(item) != size):
-            raise TypeError(f"{key} must be a list of {what}, got {json.dumps(item)} in it")
-    return items
-
-
 def region_from_dict(record: dict) -> Region:
     """A region record as `write_regions` writes it, or with `relations`."""
-    if not isinstance(record, dict):
-        raise TypeError(f"a region record must be a JSON object, not {type(record).__name__}")
+    json_object(record, "region record")
     if "relations" in record and "relationships" in record:
         raise ValueError("a region record may hold relations or relationships, not both")
-    phrase = record.get("phrase", "")
-    if not isinstance(phrase, str):
-        raise TypeError(f"phrase must be a string, got {phrase!r}")
+    phrase = json_str(record.get("phrase", ""), "phrase")
     if not phrase.strip():
         raise EmptyLabelError(_BLANK_PHRASE)
     relations = "relations" if "relations" in record else "relationships"
     graph = build_graph(
-        [(_uint(o["id"], "object id"), _label(o["label"])) for o in _entries(record, "objects", 0)],
-        [(_uint(oid, "attribute object id"), _label(label))
-         for oid, label in _entries(record, "attributes", 2)],
-        [(_uint(sid, "relation subject id"), _label(label), _uint(oid, "relation object id"))
-         for sid, label, oid in _entries(record, relations, 3)],
+        [(_uint(o["id"], "object id"), json_str(o["label"], "object label"))
+         for o in json_list(record.get("objects", []), "objects", dict)],
+        [(_uint(oid, "attribute object id"), json_str(label, "attribute label"))
+         for oid, label in json_list(record.get("attributes", []), "attributes", list, 2)],
+        [(_uint(sid, "relation subject id"), json_str(label, "relation label"),
+          _uint(oid, "relation object id"))
+         for sid, label, oid in json_list(record.get(relations, []), relations, list, 3)],
     )
     return Region(json_int(record["image_id"], "image_id"),
                   json_int(record["region_id"], "region_id"), phrase, graph)

@@ -63,12 +63,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Logits of one example. `_forward` and `forward_batches` give them for a
-    whole batch with a leading batch axis and right padding, though the
-    backbone computes on the packed real tokens only."""
+    """Class and parent logits of a right-padded batch, as `_forward` and
+    `forward_batches` give them, or of one example (no batch axis), as
+    `forward` gives them. The backbone computes on the real tokens only."""
 
-    class_logits: np.ndarray  # (T, N_NODE_TYPES)
-    parent_logits: np.ndarray  # (T, T+1), column 0 is ROOT
+    class_logits: np.ndarray  # (B, T, N_NODE_TYPES), or (T, N_NODE_TYPES) for one example
+    parent_logits: np.ndarray  # (B, T, T+1), or (T, T+1); column 0 is ROOT
 
 
 def _shapes(cfg: ModelConfig):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import Region, check_field_types
+from .data import Region, check_field_types, json_int, json_list, json_object, json_str
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -158,6 +158,7 @@ class Checkpoint:
 _CHECKPOINT_FORMAT = "sgforge-checkpoint"
 _CHECKPOINT_VERSION = 4
 _MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "metrics")
+_TOKENIZER_KEYS = ("mode", "tokens", "merges")
 
 
 def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
@@ -186,21 +187,11 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
                          for name in sorted(ckpt.params)))
 
 
-def _strings(value, n: int | None = None) -> bool:
-    """Whether value is a JSON list of strings, of length n if n is given."""
-    return (isinstance(value, list) and all(isinstance(v, str) for v in value)
-            and n in (None, len(value)))
-
-
 def load_checkpoint(base_path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
     unless the manifest is well formed and the payload holds exactly the
     float32 values that `param_shapes(model_config)` asks for."""
     json_path, bin_path = base_path + ".json", base_path + ".bin"
-
-    def bad(message: str) -> CheckpointError:
-        return CheckpointError(f"{json_path}: {message}")
-
     try:
         with open(json_path, encoding="utf-8") as f:
             manifest = json.load(f)
@@ -208,36 +199,32 @@ def load_checkpoint(base_path: str) -> Checkpoint:
             payload = f.read()
     except (OSError, ValueError) as e:
         raise CheckpointError(f"cannot read checkpoint {base_path}: {e}") from None
-    if not isinstance(manifest, dict):
-        raise bad("manifest is not a JSON object")
-    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
-    if missing:
-        raise bad(f"manifest lacks {missing}")
-    if manifest["format"] != _CHECKPOINT_FORMAT or manifest["version"] != _CHECKPOINT_VERSION:
-        raise bad(f"unsupported format {manifest['format']!r} version {manifest['version']!r}")
-    for key, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
-        if isinstance(manifest[key], dict):  # else the config call below reports it
-            missing = [f.name for f in fields(cls) if f.name not in manifest[key]]
-            if missing:
-                raise bad(f"{key} lacks {missing}")
     try:
-        model_config = ModelConfig(**manifest["model_config"])
-        train_config = TrainConfig(**manifest["train_config"])
-        tok_info = manifest["tokenizer"]
-        tokens, merges = tok_info["tokens"], tok_info["merges"]
-        if not _strings(tokens):
-            raise TypeError("tokenizer tokens must be a list of strings")
-        if not (isinstance(merges, list) and all(_strings(m, 2) for m in merges)):
-            raise TypeError("each tokenizer merge must be a list of two strings")
-        tokenizer = Tokenizer(tok_info["mode"], tuple(tokens), tuple(map(tuple, merges)))
-    except (KeyError, TypeError, ValueError) as e:
-        raise bad(f"bad config or tokenizer: {e!r}") from None
-    if tokenizer.mode != model_config.tokenizer_mode:
-        raise bad(f"tokenizer mode {tokenizer.mode!r} differs from model_config.tokenizer_mode "
-                  f"{model_config.tokenizer_mode!r}")
-    if tokenizer.vocab_size != model_config.vocab_size:
-        raise bad(f"tokenizer has {tokenizer.vocab_size} tokens, model_config.vocab_size is "
-                  f"{model_config.vocab_size}")
+        json_object(manifest, "manifest", _MANIFEST_KEYS, _MANIFEST_KEYS)
+        version = json_int(manifest["version"], "version")  # not 4.0, which equals 4
+        if (manifest["format"], version) != (_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION):
+            raise ValueError(f"unsupported format {json.dumps(manifest['format'])} "
+                             f"version {version}")
+        configs = []
+        for key, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
+            names = [f.name for f in fields(cls)]  # save_checkpoint writes every field
+            configs.append(cls(**json_object(manifest[key], key, names, names)))
+        model_config, train_config = configs
+        tok = json_object(manifest["tokenizer"], "tokenizer", _TOKENIZER_KEYS, _TOKENIZER_KEYS)
+        merges = json_list(tok["merges"], "tokenizer merges", list, 2)
+        tokenizer = Tokenizer(
+            json_str(tok["mode"], "tokenizer mode"),
+            tuple(json_list(tok["tokens"], "tokenizer tokens", str)),
+            tuple(tuple(json_list(m, "a tokenizer merge", str)) for m in merges))
+        json_object(manifest["metrics"], "metrics")
+        if tokenizer.mode != model_config.tokenizer_mode:
+            raise ValueError(f"tokenizer mode {tokenizer.mode!r} differs from "
+                             f"model_config.tokenizer_mode {model_config.tokenizer_mode!r}")
+        if tokenizer.vocab_size != model_config.vocab_size:
+            raise ValueError(f"tokenizer has {tokenizer.vocab_size} tokens, "
+                             f"model_config.vocab_size is {model_config.vocab_size}")
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"{json_path}: {e}") from None
     shapes = param_shapes(model_config)
     sizes = {name: math.prod(shape) for name, shape in shapes.items()}
     need = 4 * sum(sizes.values())

@@ -6,11 +6,12 @@ corrupts one of them (a JSON value replaced, deleted or added, a CONLL field
 rewritten, text spliced in, raw bytes inserted, or the file truncated) and
 runs every command that reads that kind of file. Other examples give a
 subcommand's options values such as a missing path, a directory, "-", a
-negative number or NaN. Others give a checkpoint manifest's config field or a
-split spec's image ids a value of the wrong JSON type, which must be exit code 2
-with one line on stderr that names the file and the field. The examples are
-derandomized, so every run of the suite tries the same inputs; raise
-max_examples for a longer search.
+negative number or NaN. Others give a checkpoint manifest's config or tokenizer
+field, or a split spec's image ids, a value of the wrong JSON type, or add a key
+the manifest section does not define: that must be exit code 2 with one line on
+stderr that names the file and the field and spells no value the Python way
+(`None`, `True`). The examples are derandomized, so every run of the suite
+tries the same inputs; raise max_examples for a longer search.
 """
 
 import argparse
@@ -225,28 +226,43 @@ def test_odd_argument_values_give_an_exit_code(template):
 
 
 def wrongly_typed(value):
-    """A JSON value whose type is not that of `value`, an int, float or str
-    config field: a float (a right type for a float field), `true` or
-    `false`, a string, a list or null."""
-    wrong = st.booleans() | st.text(max_size=4) | st.lists(st.integers(0, 9), max_size=2)
-    wrong |= st.none()
+    """A JSON value whose type is not that of `value`, a config or tokenizer
+    field: a float (a right type for a float field), `true` or `false`, a
+    string, a list of integers (not empty for a list field), an object or null."""
+    wrong = st.booleans() | st.text(max_size=4) | st.none()
+    wrong |= st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+    wrong |= st.lists(st.integers(0, 9), min_size=1 if type(value) is list else 0, max_size=2)
     return wrong if type(value) is float else wrong | st.floats()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True,
+# how Python, not JSON, spells a value or an error
+PYTHON_SPELLINGS = ("None", "True", "False", "__init__", "Error(")
+
+
+def assert_one_line_naming(err: str, path: str, field: str) -> None:
+    """err is one line that names the file and the field, in JSON terms."""
+    assert err.count("\n") == 1 and path in err and field in err, err
+    assert not any(word in err for word in PYTHON_SPELLINGS), err
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_wrongly_typed_manifest_config_is_one_line(work, data):
     manifest = json.loads((work / "ckpt.json").read_text())
-    section = data.draw(st.sampled_from(["model_config", "train_config"]))
-    field = data.draw(st.sampled_from(sorted(manifest[section])))
-    manifest[section][field] = data.draw(wrongly_typed(manifest[section][field]))
+    section = data.draw(st.sampled_from(["model_config", "train_config", "tokenizer"]))
+    if data.draw(st.integers(0, 5)) == 0:  # a key the section does not define
+        field = data.draw(st.sampled_from(["extra", "vocab", "step", "lambda_mode"]))
+        manifest[section][field] = data.draw(json_values)
+    else:
+        field = data.draw(st.sampled_from(sorted(manifest[section])))
+        manifest[section][field] = data.draw(wrongly_typed(manifest[section][field]))
     (work / "bad-ckpt.json").write_text(json.dumps(manifest))
     (work / "bad-ckpt.bin").write_bytes((work / "ckpt.bin").read_bytes())
     code, err = cli_err(["parse", "--ckpt", f"{work}/bad-ckpt", "--regions",
                          f"{work}/regions.jsonl", "--out", f"{work}/pred.jsonl"])
-    assert code == 2 and err.count("\n") == 1, err
-    assert f"{work}/bad-ckpt.json" in err and field in err and "Traceback" not in err
+    assert code == 2, err
+    assert_one_line_naming(err, f"{work}/bad-ckpt.json", field)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True,
@@ -268,5 +284,5 @@ def test_wrongly_typed_split_ids_are_one_line(work, data):
                          "--model-config", f"{work}/model.json",
                          "--train-config", f"{work}/train.json",
                          "--split", f"{work}/bad-split.json", "--out", f"{work}/split-ckpt"])
-    assert code == 2 and err.count("\n") == 1, err
-    assert f"{work}/bad-split.json" in err and key in err and "Traceback" not in err
+    assert code == 2, err
+    assert_one_line_naming(err, f"{work}/bad-split.json", key)

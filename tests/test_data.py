@@ -112,13 +112,22 @@ TWO_OBJECTS = [{"id": 1, "label": "bus"}, {"id": 2, "label": "cat"}]
     (json.dumps({"image_id": 1, "region_id": 5, "phrase": "bus on cat", "objects": TWO_OBJECTS,
                  "relations": {"on": 2}}),
      'relations must be a list of lists of 3 elements, got {"on": 2}'),
+    # phrases and labels are spelled as JSON, as ids are
+    (json.dumps(record(phrase={"a": 1})), 'phrase must be a string, got {"a": 1}'),
+    (json.dumps(record(phrase=None)), "phrase must be a string, got null"),
+    (json.dumps(record(objects=[{"id": 1, "label": True}])),
+     "object label must be a string, got true"),
+    (json.dumps(record(attributes=[[1, None]])), "attribute label must be a string, got null"),
+    (json.dumps(record(objects=TWO_OBJECTS, relationships=[[1, ["on"], 2]])),
+     'relation label must be a string, got ["on"]'),
 ], ids=["list", "phrase", "object_label", "attribute_label", "relation_label", "huge_id",
         "deep_nesting", "float_object_id", "bool_region_id", "string_object_id",
         "float_image_id", "float_attribute_id", "bool_relation_id", "list_relation_id",
         "negative_object_id", "relations_and_relationships", "missing_label",
         "missing_region_id", "string_objects", "null_objects", "list_object",
         "attribute_triple", "attribute_object", "attribute_string", "relation_pair",
-        "null_relationships", "object_relations"])
+        "null_relationships", "object_relations", "object_phrase", "null_phrase",
+        "bool_object_label", "null_attribute_label", "list_relation_label"])
 def test_ingest_wrongly_typed_record_is_malformed(line, reason):
     lines = [json.dumps(record()), line, json.dumps(record(region_id=11))]
     regions, errors = ingest("\n".join(lines))

@@ -355,15 +355,39 @@ def _edit_manifest(base, edit):
     pytest.param(lambda m: m["tokenizer"]["tokens"].__setitem__(4, 7),
                  "tokens must be a list of strings", id="token-not-a-string"),
     pytest.param(lambda m: m["tokenizer"].update(merges=["ab"]),
-                 "merge must be a list of two strings", id="merge-spelled-as-one-string"),
+                 'tokenizer merges must be a list of lists of 2 elements, got "ab" in it',
+                 id="merge-spelled-as-one-string"),
     pytest.param(lambda m: m["tokenizer"].update(merges=[["a", "b", "c"]]),
-                 "merge must be a list of two strings", id="merge-of-three"),
+                 r'tokenizer merges must be a list of lists of 2 elements, got \["a", "b", "c"\]',
+                 id="merge-of-three"),
     # lists learn_bpe never writes: apply_bpe would split words unlike the learner
     pytest.param(lambda m: m["tokenizer"].update(merges=[["aa", "a"], ["a", "a"]]),
                  "merge 'aa' 'a' uses 'aa' before a merge makes it", id="merge-used-before-made"),
     pytest.param(lambda m: m["tokenizer"].update(merges=[
         ["b", "a"], ["a", "b"], ["b", "ab"], ["bab", "ba"], ["ba", "b"], ["b", "b"],
         ["babba", "ab"]]), "merge 'ba' 'b' makes 'bab' a second time", id="merge-made-twice"),
+    # every section follows the key and type rules of the CLI's JSON files
+    pytest.param(lambda m: m["model_config"].update(extra=1),
+                 r"ckpt\.json: unknown model_config keys: \['extra'\]$", id="unknown-config-key"),
+    pytest.param(lambda m: m.update(model_config=[1, 2]),
+                 r"ckpt\.json: model_config must be a JSON object, got \[1, 2\]$",
+                 id="config-not-an-object"),
+    pytest.param(lambda m: m.update(tokenizer=["word"]),
+                 r'ckpt\.json: tokenizer must be a JSON object, got \["word"\]$',
+                 id="tokenizer-not-an-object"),
+    pytest.param(lambda m: m["tokenizer"].pop("merges"),
+                 r"ckpt\.json: tokenizer lacks \['merges'\]$", id="missing-merges"),
+    pytest.param(lambda m: m["tokenizer"].update(mode=None),
+                 r"ckpt\.json: tokenizer mode must be a string, got null$", id="null-mode"),
+    pytest.param(lambda m: m["tokenizer"].update(merges=[["a", True]]),
+                 r"ckpt\.json: a tokenizer merge must be a list of strings, got true in it$",
+                 id="merge-of-a-bool"),
+    pytest.param(lambda m: m.update(metrics=5),
+                 r"ckpt\.json: metrics must be a JSON object, got 5$", id="metrics-not-an-object"),
+    pytest.param(lambda m: m.update(version=4.0),
+                 r"ckpt\.json: version must be an integer, got 4\.0$", id="float-version"),
+    pytest.param(lambda m: m.update(step=3),
+                 r"ckpt\.json: unknown manifest keys: \['step'\]$", id="unknown-manifest-key"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
@@ -375,7 +399,8 @@ def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
 def test_load_checkpoint_rejects_a_manifest_that_is_not_an_object(saved_checkpoint):
     with open(saved_checkpoint + ".json", "w") as f:
         json.dump([1, 2], f)
-    with pytest.raises(CheckpointError, match=r"ckpt\.json: manifest is not a JSON object"):
+    with pytest.raises(CheckpointError,
+                       match=r"ckpt\.json: manifest must be a JSON object, got \[1, 2\]$"):
         load_checkpoint(saved_checkpoint)
 
 
