@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .data import json_list, json_object
+from .errors import cut
 from .graph import SceneGraph, canonical_words, canonicalize_label
 from .tags import NodeType, TaggedSentence, TaggedToken
 
@@ -43,8 +44,9 @@ class Lexicon:
     @classmethod
     def from_json(cls, text: str) -> "Lexicon":
         mapping = json_object(json.loads(text), "lexicon")
-        return cls.from_pairs({label: json_list(syns, f"the synonyms of {json.dumps(label)}", str)
-                               for label, syns in mapping.items()})
+        return cls.from_pairs({
+            label: json_list(syns, f"the synonyms of {cut(json.dumps(label))}", str)
+            for label, syns in mapping.items()})
 
     def __bool__(self) -> bool:
         """False when the table holds no synonym pair, as EMPTY_LEXICON."""

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the cut-off for input that
+their messages quote."""
+
+_QUOTE_LIMIT = 80
+
+
+def cut(spelled: str) -> str:
+    """A value as a message spells it, cut after about 80 characters, so that
+    a message quoting a long input stays one short line."""
+    if len(spelled) <= _QUOTE_LIMIT:
+        return spelled
+    return f"{spelled[:_QUOTE_LIMIT]}... ({len(spelled):,} characters)"
 
 
 class SgforgeError(Exception):

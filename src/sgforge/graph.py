@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .errors import DanglingReferenceError, EmptyLabelError
+from .errors import DanglingReferenceError, EmptyLabelError, cut
 
 
 def canonical_words(text: str) -> list[str]:
@@ -28,7 +28,7 @@ def canonicalize_label(raw: str) -> str:
     """
     words = canonical_words(raw)
     if not words:
-        raise EmptyLabelError(f"label is empty after canonicalization: {raw!r}")
+        raise EmptyLabelError(f"label is empty after canonicalization: {cut(repr(raw))}")
     return " ".join(words)
 
 
@@ -62,21 +62,21 @@ def build_graph(
     objs: dict[int, ObjectInstance] = {}
     for oid, label in objects:
         if oid in objs:
-            raise ValueError(f"duplicate object id {oid}")
+            raise ValueError(f"duplicate object id {cut(str(oid))}")
         objs[oid] = ObjectInstance(oid, canonicalize_label(label))
 
     attrs: dict[tuple[int, str], None] = {}  # insertion-ordered set
     for oid, label in attributes:
         if oid not in objs:
-            raise DanglingReferenceError(f"attribute references unknown object id {oid}")
+            raise DanglingReferenceError(f"attribute references unknown object id {cut(str(oid))}")
         attrs[oid, canonicalize_label(label)] = None
 
     rels: dict[tuple[int, str, int], None] = {}
     for sid, label, oid in relations:
         if sid not in objs:
-            raise DanglingReferenceError(f"relation references unknown subject id {sid}")
+            raise DanglingReferenceError(f"relation references unknown subject id {cut(str(sid))}")
         if oid not in objs:
-            raise DanglingReferenceError(f"relation references unknown object id {oid}")
+            raise DanglingReferenceError(f"relation references unknown object id {cut(str(oid))}")
         rels[sid, canonicalize_label(label), oid] = None
 
     return SceneGraph(tuple(objs.values()), tuple(attrs), tuple(rels))

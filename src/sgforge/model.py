@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_field_types
-from .errors import LengthMismatchError, SequenceTooLongError
+from .errors import LengthMismatchError, SequenceTooLongError, cut
 from .graph import canonical_words
 from .tags import N_NODE_TYPES, NodeType, TaggedSentence, TaggedToken
 from .tokenizer import PAD_ID, TokenSequence, Tokenizer
@@ -52,7 +52,8 @@ class ModelConfig:
         if self.vocab_size < 0 or self.n_layers < 0:
             raise ValueError("vocab_size and n_layers must not be negative")
         if self.tokenizer_mode not in ("word", "bpe"):
-            raise ValueError(f"tokenizer_mode must be 'word' or 'bpe', got {self.tokenizer_mode!r}")
+            raise ValueError("tokenizer_mode must be 'word' or 'bpe', got "
+                             + cut(repr(self.tokenizer_mode)))
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         top, layer = _shapes(self)
@@ -63,12 +64,13 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModelOutputs:
-    """Class and parent logits of a right-padded batch, as `_forward` and
-    `forward_batches` give them, or of one example (no batch axis), as
-    `forward` gives them. The backbone computes on the real tokens only."""
+    """Class and parent logits of a right-padded batch, as `forward` gives
+    them. The backbone computes on the real tokens only: padded rows of the
+    class logits are 0, and parent-logit columns past an example's length are
+    -inf."""
 
-    class_logits: np.ndarray  # (B, T, N_NODE_TYPES), or (T, N_NODE_TYPES) for one example
-    parent_logits: np.ndarray  # (B, T, T+1), or (T, T+1); column 0 is ROOT
+    class_logits: np.ndarray  # (B, T, N_NODE_TYPES)
+    parent_logits: np.ndarray  # (B, T, T+1); column 0 is ROOT
 
 
 def _shapes(cfg: ModelConfig):
@@ -296,27 +298,21 @@ def _forward(params: Params, cfg: ModelConfig, ids: np.ndarray, lengths: np.ndar
     return ModelOutputs(class_logits, parent_logits), real, x, q_head, k_head
 
 
-def forward(params: Params, cfg: ModelConfig, seqs: list[TokenSequence]) -> list[ModelOutputs]:
-    """Class logits C and parent logits P (T rows each) for every sequence,
-    run as one right-padded batch."""
-    ids, lengths = _pad(cfg, seqs)
-    out = _forward(params, cfg, ids, lengths)[0]
-    return [
-        ModelOutputs(out.class_logits[i, : n - 1], out.parent_logits[i, : n - 1, :n])
-        for i, n in enumerate(lengths)
-    ]
+def forward(params: Params, cfg: ModelConfig, seqs: list[TokenSequence]) -> ModelOutputs:
+    """Outputs of seqs run as one right-padded batch: row i belongs to seqs[i]."""
+    return _forward(params, cfg, *_pad(cfg, seqs))[0]
 
 
 def forward_batches(
     params: Params, cfg: ModelConfig, seqs: list[TokenSequence], batch_size: int
 ) -> Iterator[tuple[list[int], ModelOutputs]]:
     """Run length-sorted batches of batch_size, so that batches carry little
-    padding, and yield each batch's indices into seqs with its right-padded
-    outputs as `_forward` returns them: row k belongs to seqs[indices[k]]."""
+    padding, and yield each batch's indices into seqs with its `forward`
+    outputs: row k belongs to seqs[indices[k]]."""
     order = sorted(range(len(seqs)), key=lambda i: len(seqs[i]))
     for start in range(0, len(order), batch_size):
         chunk = order[start : start + batch_size]
-        yield chunk, _forward(params, cfg, *_pad(cfg, [seqs[i] for i in chunk]))[0]
+        yield chunk, forward(params, cfg, [seqs[i] for i in chunk])
 
 
 def target_arrays(seq: TokenSequence, target: TaggedSentence) -> tuple[np.ndarray, np.ndarray]:
@@ -364,13 +360,10 @@ def pad_targets(types: list[np.ndarray], parents: list[np.ndarray],
 def loss_terms(
     outputs: ModelOutputs, types: np.ndarray, parents: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mean class cross-entropy over the T positions, and mean parent
-    cross-entropy over the positions whose target type is not NONE (exactly
-    zero when there is none).
-
-    Takes one example (T rows) or a right-padded batch (B, T rows) whose
-    padded rows carry type -1; a batch gets both terms per example.
-    """
+    """Per example of a right-padded batch whose padded rows carry type -1
+    (`pad_targets`): the mean class cross-entropy over its T positions, and
+    the mean parent cross-entropy over the positions whose target type is not
+    NONE (exactly zero when there is none)."""
     w_class, w_parent = _loss_weights(types)
     log_c = outputs.class_logits - _logsumexp(outputs.class_logits)
     log_p = outputs.parent_logits - _logsumexp(outputs.parent_logits)
@@ -381,14 +374,14 @@ def loss_terms(
 
 def loss_from_outputs(
     outputs: ModelOutputs, types: np.ndarray, parents: np.ndarray, loss_weight: float
-) -> float:
-    """Class term plus loss_weight times parent term (see `loss_terms`) for
-    one example."""
-    t = outputs.class_logits.shape[0]
-    if len(types) != t or len(parents) != t:
-        raise LengthMismatchError(f"outputs have {t} positions, targets {len(types)}")
+) -> np.ndarray:
+    """Each example's loss: class term plus loss_weight times parent term (see
+    `loss_terms`)."""
+    shape = outputs.class_logits.shape[:2]
+    if types.shape != shape or parents.shape != shape:
+        raise LengthMismatchError(f"outputs are {shape}, targets {types.shape} and {parents.shape}")
     class_term, parent_term = loss_terms(outputs, types, parents)
-    return float(class_term + loss_weight * parent_term)
+    return class_term + loss_weight * parent_term
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -399,8 +392,8 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 def loss_output_grads(
     outputs: ModelOutputs, types: np.ndarray, parents: np.ndarray, loss_weight: float
 ):
-    """Gradients of the loss with respect to the two logit blocks, for one
-    example or per example of a padded batch (see `loss_terms`).
+    """Gradients of each example's loss with respect to the two logit blocks
+    of a padded batch (see `loss_terms`).
 
     Parent-logit rows at NONE positions and all rows at padded positions are
     exactly zero.
@@ -428,8 +421,7 @@ def loss_and_grads(params: Params, cfg: ModelConfig, seqs: list[TokenSequence],
     tgt_types, tgt_parents = pad_targets(types, parents, L - 1)
     caches: list[dict] = []
     outputs, real, hidden, q_head, k_head = _forward(params, cfg, ids, lengths, caches)
-    class_term, parent_term = loss_terms(outputs, tgt_types, tgt_parents)
-    loss = float(np.mean(class_term + loss_weight * parent_term))
+    loss = float(np.mean(loss_from_outputs(outputs, tgt_types, tgt_parents, loss_weight)))
     d_class, d_parent = loss_output_grads(outputs, tgt_types, tgt_parents, loss_weight)
     d_class /= B
     d_parent /= B

@@ -12,7 +12,7 @@ from enum import IntEnum
 from sys import intern
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import ParseError, cut
 from .graph import SceneGraph, build_graph
 
 ROOT = "ROOT"
@@ -231,7 +231,8 @@ def read_conll(text: str) -> list[TaggedSentence]:
                     t = len(toks)
                     tok = next(tok for tok in toks if tok.parent > t)
                     raise ParseError(line_no - t - 1 + tok.index,
-                                     f"HEAD {tok.parent} exceeds sentence length {t}") from None
+                                     f"HEAD {cut(str(tok.parent))} exceeds sentence length {t}"
+                                     ) from None
                 toks = []
             continue
         cols = line.split("\t")
@@ -241,28 +242,29 @@ def read_conll(text: str) -> list[TaggedSentence]:
         index = len(toks) + 1
         if idx_s != str(index):
             n = _decimal(idx_s)
-            raise ParseError(line_no, f"bad INDEX {idx_s!r}" if n is None
-                             else f"non-contiguous INDEX {n}, expected {index}")
+            raise ParseError(line_no, f"bad INDEX {cut(repr(idx_s))}" if n is None
+                             else f"non-contiguous INDEX {cut(idx_s)}, expected {index}")
         if not form:
             raise ParseError(line_no, "empty FORM")
         if form.split() != [form]:  # canonical_words' rule: a token is one word
-            raise ParseError(line_no, f"FORM {form!r} is not one word")
+            raise ParseError(line_no, f"FORM {cut(repr(form))} is not one word")
         node_type = _TYPE_OF_TAIL.get((arc_s, type_s))
         if node_type is None:
-            raise ParseError(line_no, f"ARC_LABEL {arc_s!r} and NODE_TYPE {type_s!r} match no "
-                             "node type")
+            raise ParseError(line_no, f"ARC_LABEL {cut(repr(arc_s))} and NODE_TYPE "
+                             f"{cut(repr(type_s))} match no node type")
         if node_type is NodeType.NONE:
             if head_s != "_":
-                raise ParseError(line_no, f"HEAD {head_s!r} on a NONE row, which takes '_'")
+                raise ParseError(line_no,
+                                 f"HEAD {cut(repr(head_s))} on a NONE row, which takes '_'")
             parent = 0
         elif head_s == "_":
             raise ParseError(line_no, f"missing HEAD for node type {type_s}")
         else:
             parent = _decimal(head_s)
             if parent is None:
-                raise ParseError(line_no, f"bad HEAD {head_s!r}")
+                raise ParseError(line_no, f"bad HEAD {cut(repr(head_s))}")
             if parent < 0:
-                raise ParseError(line_no, f"negative HEAD {parent}")
+                raise ParseError(line_no, f"negative HEAD {cut(head_s)}")
         # one string per distinct form: a corpus repeats a small vocabulary
         parsed[line] = tok = TaggedToken(index, intern(form), node_type, parent)
         toks.append(tok)

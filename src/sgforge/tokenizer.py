@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+from .errors import cut
 from .graph import canonical_words
 
 ROOT_ID = 0
@@ -102,14 +103,16 @@ class Tokenizer:
 
     def __post_init__(self):
         if self.mode not in ("word", "bpe"):
-            raise ValueError(f"unknown tokenizer mode {self.mode!r}")
+            raise ValueError(f"unknown tokenizer mode {cut(repr(self.mode))}")
         made = set()  # learn_bpe's order, in which apply_bpe repeats its merges
         for a, b in self.merges:
             unmade = [s for s in (a, b) if len(s) != 1 and s not in made]
             if unmade:
-                raise ValueError(f"merge {a!r} {b!r} uses {unmade[0]!r} before a merge makes it")
+                raise ValueError(f"merge {cut(repr(a))} {cut(repr(b))} uses "
+                                 f"{cut(repr(unmade[0]))} before a merge makes it")
             if a + b in made:
-                raise ValueError(f"merge {a!r} {b!r} makes {a + b!r} a second time")
+                raise ValueError(f"merge {cut(repr(a))} {cut(repr(b))} makes "
+                                 f"{cut(repr(a + b))} a second time")
             made.add(a + b)
         self._ids.update({tok: i for i, tok in enumerate(self.tokens)})
         self._ranks.update({pair: i for i, pair in enumerate(self.merges)})

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -20,16 +21,19 @@ from .errors import (
     SequenceTooLongError,
     ShapeMismatchError,
     TrainingDivergedError,
+    cut,
 )
 from .graph import SceneGraph, canonical_words
 from .metrics import evaluate_corpus
 from .model import (
     ModelConfig,
+    ModelOutputs,
     Params,
     forward,
     forward_batches,
     init_params,
     loss_and_grads,
+    loss_from_outputs,
     loss_terms,
     pad_targets,
     param_shapes,
@@ -37,7 +41,7 @@ from .model import (
     target_arrays,
 )
 from .tags import NodeType, TaggedSentence, decode_tags_to_graph
-from .tokenizer import Tokenizer, TokenSequence
+from .tokenizer import RESERVED, Tokenizer, TokenSequence
 
 
 # Adam's published defaults (Kingma & Ba 2015)
@@ -128,14 +132,19 @@ class Encoded:
 def calibrate_lambda(params: Params, cfg: ModelConfig, batch: list[Encoded]) -> float:
     """Ratio of mean class loss to mean parent loss over the batch positions,
     measured at the current parameters. Falls back to 1.0 when the batch has
-    no non-NONE position."""
-    total_class = 0.0
-    n_class = 0
-    total_parent = 0.0
-    n_parent = 0
-    for enc, outputs in zip(batch, forward(params, cfg, [enc.seq for enc in batch])):
-        class_mean, parent_mean = loss_terms(outputs, enc.types, enc.parents)
+    no non-NONE position.
+
+    Each example's terms come from its own unpadded rows of one `forward`,
+    as a batch of one: numpy sums a padded row in another order, so one
+    `loss_terms` call on the padded batch would move λ's last bits."""
+    total_class = total_parent = 0.0
+    n_class = n_parent = 0
+    out = forward(params, cfg, [enc.seq for enc in batch])
+    for i, enc in enumerate(batch):
         t = len(enc.types)
+        alone = ModelOutputs(out.class_logits[i : i + 1, :t],
+                             out.parent_logits[i : i + 1, :t, : t + 1])
+        (class_mean,), (parent_mean,) = loss_terms(alone, enc.types[None], enc.parents[None])
         k = int((enc.types != int(NodeType.NONE)).sum())
         total_class += float(class_mean) * t
         n_class += t
@@ -189,8 +198,9 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
 
 def load_checkpoint(base_path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
-    unless the manifest is well formed and the payload holds exactly the
-    float32 values that `param_shapes(model_config)` asks for."""
+    unless the manifest is well formed, its tokenizer block is one that
+    `Tokenizer.from_corpus` could make, and the payload holds exactly the
+    finite float32 values that `param_shapes(model_config)` asks for."""
     json_path, bin_path = base_path + ".json", base_path + ".bin"
     try:
         with open(json_path, encoding="utf-8") as f:
@@ -203,7 +213,7 @@ def load_checkpoint(base_path: str) -> Checkpoint:
         json_object(manifest, "manifest", _MANIFEST_KEYS, _MANIFEST_KEYS)
         version = json_int(manifest["version"], "version")  # not 4.0, which equals 4
         if (manifest["format"], version) != (_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION):
-            raise ValueError(f"unsupported format {json.dumps(manifest['format'])} "
+            raise ValueError(f"unsupported format {cut(json.dumps(manifest['format']))} "
                              f"version {version}")
         configs = []
         for key, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
@@ -217,6 +227,19 @@ def load_checkpoint(base_path: str) -> Checkpoint:
             tuple(json_list(tok["tokens"], "tokenizer tokens", str)),
             tuple(tuple(json_list(m, "a tokenizer merge", str)) for m in merges))
         json_object(manifest["metrics"], "metrics")
+        tokens = tokenizer.tokens
+        vocab = set(tokens)
+        if tokens[: len(RESERVED)] != RESERVED:
+            raise ValueError(f"tokenizer tokens must begin with {json.dumps(RESERVED)}")
+        if len(vocab) != len(tokens):
+            repeated = next(token for token, n in Counter(tokens).items() if n > 1)
+            raise ValueError(f"tokenizer tokens repeat {cut(json.dumps(repeated))}")
+        if tokenizer.mode == "word" and tokenizer.merges:
+            raise ValueError("word-mode tokenizer has merges")
+        unmade = [a + b for a, b in tokenizer.merges if a + b not in vocab]
+        if unmade:
+            raise ValueError(f"tokenizer merge product {cut(json.dumps(unmade[0]))} "
+                             "is not among its tokens")
         if tokenizer.mode != model_config.tokenizer_mode:
             raise ValueError(f"tokenizer mode {tokenizer.mode!r} differs from "
                              f"model_config.tokenizer_mode {model_config.tokenizer_mode!r}")
@@ -236,6 +259,8 @@ def load_checkpoint(base_path: str) -> Checkpoint:
     offset = 0
     for name in sorted(shapes):
         params[name] = values[offset : offset + sizes[name]].reshape(shapes[name]).copy()
+        if not np.isfinite(params[name]).all():
+            raise CheckpointError(f"{bin_path}: tensor {name} holds a non-finite value")
         offset += sizes[name]
     return Checkpoint(model_config, train_config, tokenizer, params, manifest["metrics"])
 
@@ -258,8 +283,8 @@ def _encode_examples(tokenizer: Tokenizer, examples: list[Example]) -> list[Enco
 
 def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
     """Dev loss and dev F, both read from one batched forward pass: each
-    length-sorted batch gets one `loss_terms` call on its padded targets and
-    one `read_tags` call. Both are None without a dev set."""
+    length-sorted batch gets one `loss_from_outputs` call on its padded
+    targets and one `read_tags` call. Both are None without a dev set."""
     if not dev_encoded:
         return None, None
     total_loss = 0.0
@@ -269,8 +294,7 @@ def _dev_metrics(params, model_cfg, dev_encoded, loss_weight, batch_size):
         batch = [dev_encoded[i] for i in chunk]
         targets = pad_targets([enc.types for enc in batch], [enc.parents for enc in batch],
                               outputs.class_logits.shape[1])
-        class_term, parent_term = loss_terms(outputs, *targets)
-        total_loss += float(np.sum(class_term + loss_weight * parent_term))
+        total_loss += float(np.sum(loss_from_outputs(outputs, *targets, loss_weight)))
         words = [canonical_words(enc.example.region.description) for enc in batch]
         sents = read_tags(outputs, words, [enc.seq.word_heads for enc in batch])
         for i, sent in zip(chunk, sents):

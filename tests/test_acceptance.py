@@ -57,10 +57,13 @@ def test_a1_gradient_correctness():
     lam = 0.9
     _, grads = loss_and_grads(params, cfg, seqs, types, parents, lam)
 
-    def batch_loss():
-        outs = forward(params, cfg, seqs)
-        return np.mean([loss_from_outputs(o, ty, pa, lam)
-                        for o, ty, pa in zip(outs, types, parents)])
+    def batch_loss():  # each example scored on its own unpadded rows, a batch of one
+        out = forward(params, cfg, seqs)
+        return np.mean([
+            loss_from_outputs(ModelOutputs(out.class_logits[i : i + 1, : len(ty)],
+                                           out.parent_logits[i : i + 1, : len(ty), : len(ty) + 1]),
+                              ty[None], pa[None], lam)[0]
+            for i, (ty, pa) in enumerate(zip(types, parents))])
 
     step = 1e-5
     worst = 0.0
@@ -194,16 +197,16 @@ def test_a5_decoder_totality_and_legality():
 def test_a6_loss_masking_exact():
     """A6: with all-NONE targets the parent logits cannot move the loss."""
     rng = np.random.default_rng(3)
-    cls = rng.normal(size=(5, 6))
-    types = np.full(5, int(T.NONE))
-    parents = np.array([0, 1, 2, 3, 4])
-    base = loss_from_outputs(ModelOutputs(cls, np.zeros((5, 6))), types, parents, 1.0)
+    cls = rng.normal(size=(1, 5, 6))
+    types = np.full((1, 5), int(T.NONE))
+    parents = np.array([[0, 1, 2, 3, 4]])
+    [base] = loss_from_outputs(ModelOutputs(cls, np.zeros((1, 5, 6))), types, parents, 1.0)
     deltas = []
     for scale in (1.0, 1e3, -1e6):
-        perturbed = loss_from_outputs(
-            ModelOutputs(cls, rng.normal(size=(5, 6)) * scale), types, parents, 1.0
+        [perturbed] = loss_from_outputs(
+            ModelOutputs(cls, rng.normal(size=(1, 5, 6)) * scale), types, parents, 1.0
         )
-        deltas.append(perturbed - base)
+        deltas.append(float(perturbed - base))
     report("A6", all(d == 0.0 for d in deltas), f"loss deltas {deltas}")
 
 

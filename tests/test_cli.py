@@ -830,3 +830,80 @@ def test_non_integer_id_is_data_error(tmp_path, capsys):
     assert run(["align", "--regions", str(bad), "--out", str(tmp_path / "t.conll")]) == 2
     err = capsys.readouterr().err
     assert f"{bad}:1: Malformed: object id must be an integer, got 1.7\n" in err
+
+
+# Each case quotes a value of 3,000 to 20,000 characters back at the user; the
+# message must cut it and stay one short line naming the file and the line.
+LONG = 20_000
+_RECORD = {"image_id": 1, "region_id": 1, "phrase": "red bus",
+           "objects": [{"id": 1, "label": "bus"}]}
+
+
+def _record(**fields):
+    return json.dumps({**_RECORD, **fields}) + "\n"
+
+
+@pytest.mark.parametrize("name, text, command, where", [
+    ("bad.jsonl", json.dumps(list(range(3000))) + "\n", "eval", "bad.jsonl:1: "),
+    ("bad.jsonl", _record(phrase="red " * (LONG // 4), objects="o" * LONG), "align",
+     "bad.jsonl:1: "),
+    ("bad.jsonl", _record(region_id="9" * LONG), "align", "bad.jsonl:1: "),
+    ("bad.jsonl", _record(phrase=[0] * 3000), "align", "bad.jsonl:1: "),
+    ("bad.jsonl", _record(attributes=[[1, " " * LONG]]), "align", "bad.jsonl:1: "),
+    ("bad.jsonl", _record(attributes=[[int("9" * 4000), "red"]]), "align", "bad.jsonl:1: "),
+    ("bad.jsonl", _record(objects=[{"id": -int("9" * 4000), "label": "bus"}]), "align",
+     "bad.jsonl:1: "),
+    ("bad.conll", "1\t" + "a b" * (LONG // 3) + "\t_\t_\t_\n\n", "convert", "bad.conll: line 1: "),
+    ("bad.conll", "1\tred\t_\t_\t_\n" + "1" * LONG + "\tbus\t_\t_\tSUBJ\n\n", "convert",
+     "bad.conll: line 2: "),
+    ("bad.conll", "1\tred\t_\t" + "A" * LONG + "\t_\n\n", "convert", "bad.conll: line 1: "),
+    ("bad.conll", "1\tred\t" + "x" * LONG + "\t_\tSUBJ\n\n", "convert", "bad.conll: line 1: "),
+    ("bad.conll", "9" * 4000 + "\tred\t_\t_\t_\n\n", "convert", "bad.conll: line 1: "),
+    ("bad.conll", "1\tred\t-" + "9" * 4000 + "\t_\tSUBJ\n\n", "convert", "bad.conll: line 1: "),
+    ("bad.conll", "1\tred\t" + "9" * 4000 + "\t_\tSUBJ\n\n", "convert", "bad.conll: line 1: "),
+    ("bad.json", json.dumps({"k" * LONG: [1]}), "lexicon", "bad.json: "),
+    ("model.json", json.dumps({"k" * LONG: 1}), "train", "model.json: "),
+    ("model.json", json.dumps({"d_model": [1] * 3000}), "train", "model.json: "),
+    ("model.json", json.dumps({"tokenizer_mode": "m" * LONG}), "train", "model.json: "),
+], ids=["record-array", "objects-string", "region-id-string", "phrase-array", "blank-label",
+        "dangling-id", "negative-id", "form", "index", "arc-label", "head",
+        "non-contiguous-index", "negative-head", "head-past-end", "lexicon-label",
+        "unknown-config-key", "config-field-array", "config-mode"])
+def test_long_quoted_value_is_one_short_line(aligned, tmp_path, monkeypatch, capsys,
+                                             name, text, command, where):
+    regions_file, conll_file = aligned
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    argv = {
+        "eval": ["eval", "--pred", name, "--ref", regions_file],
+        "align": ["align", "--regions", name],
+        "convert": ["convert", "--in", name],
+        "lexicon": ["align", "--regions", regions_file, "--lexicon", name],
+        "train": ["train", "--conll", conll_file, "--regions", regions_file,
+                  "--model-config", name],
+    }[command]
+    capsys.readouterr()
+    assert run(argv + ["--out", "out"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if where in line] != [], lines
+    assert max(map(len, lines)) <= 200, [line[:300] for line in lines]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.update(format="f" * LONG),
+    lambda m: m["tokenizer"].update(mode="m" * LONG),
+    lambda m: m["tokenizer"].update(merges=[["x" * LONG, "y"]]),
+], ids=["format", "tokenizer-mode", "merge-used-before-made"])
+def test_long_manifest_value_is_one_short_line(trained, tmp_path, capsys, edit):
+    _, regions_file, ckpt_base = trained
+    manifest = json.loads(open(ckpt_base + ".json").read())
+    edit(manifest)
+    (tmp_path / "ckpt.json").write_text(json.dumps(manifest))
+    (tmp_path / "ckpt.bin").write_bytes(open(ckpt_base + ".bin", "rb").read())
+    capsys.readouterr()
+    assert run(["parse", "--ckpt", str(tmp_path / "ckpt"), "--regions", regions_file,
+                "--out", str(tmp_path / "pred.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path / "ckpt.json") in err
+    # a merge message may quote three symbols, each cut on its own
+    assert len(err) <= 400 + len(str(tmp_path)), err[:500]

@@ -76,17 +76,22 @@ def test_config_caps_the_parameter_count_without_allocating():
         ModelConfig(vocab_size=vocab + 1, **small)
 
 
+def alone(out, i, t):
+    """Example i's own unpadded rows of a padded batch, as a batch of one."""
+    return ModelOutputs(out.class_logits[i : i + 1, :t], out.parent_logits[i : i + 1, :t, : t + 1])
+
+
 def test_forward_shapes():
     params = init_params(SMALL, seed=0)
-    [out] = forward(params, SMALL, [small_seq(6)])
-    assert out.class_logits.shape == (6, 6)
-    assert out.parent_logits.shape == (6, 7)
+    out = forward(params, SMALL, [small_seq(6), small_seq(2)])
+    assert out.class_logits.shape == (2, 6, 6)
+    assert out.parent_logits.shape == (2, 6, 7)
 
 
 def test_forward_single_token():
     params = init_params(SMALL, seed=0)
-    [out] = forward(params, SMALL, [small_seq(1)])
-    assert out.parent_logits.shape == (1, 2)
+    out = forward(params, SMALL, [small_seq(1)])
+    assert out.parent_logits.shape == (1, 1, 2)
     probs = softmax(out.parent_logits)
     assert probs.sum(axis=-1) == pytest.approx(1.0, abs=1e-6)
 
@@ -100,7 +105,7 @@ def test_forward_too_long():
 def test_zero_head_weights_give_uniform_parents():
     params = init_params(SMALL, seed=0)
     params["head.w_q"][:] = 0.0
-    [out] = forward(params, SMALL, [small_seq(4)])
+    out = forward(params, SMALL, [small_seq(4)])
     probs = softmax(out.parent_logits)
     assert np.allclose(probs, 1.0 / 5)
 
@@ -113,7 +118,7 @@ def test_parent_softmax_rows_sum_to_one():
         params = init_params(cfg, seed=trial)
         t = int(rng.integers(1, 6))
         ids = (0,) + tuple(int(x) for x in rng.integers(4, 8, size=t))
-        [out] = forward(params, cfg, [TokenSequence(ids, tuple(range(1, t + 1)))])
+        out = forward(params, cfg, [TokenSequence(ids, tuple(range(1, t + 1)))])
         sums = softmax(out.parent_logits).sum(axis=-1)
         assert np.all(np.abs(sums - 1.0) < 1e-6)
 
@@ -124,10 +129,10 @@ def test_backbone_is_causal():
     params = init_params(SMALL, seed=1)
     base = small_seq(5)
     changed = TokenSequence(base.ids[:4] + (11,) + base.ids[5:], base.word_heads)
-    out_a, out_b = forward(params, SMALL, [base, changed])
+    out_a, out_b = forward(params, SMALL, [base, changed]).class_logits
     # positions before the change (rows 0..2 for tokens 1..3) are identical
-    assert np.array_equal(out_a.class_logits[:3], out_b.class_logits[:3])
-    assert not np.array_equal(out_a.class_logits[3], out_b.class_logits[3])
+    assert np.array_equal(out_a[:3], out_b[:3])
+    assert not np.array_equal(out_a[3], out_b[3])
 
 
 def test_gelu_matches_closed_form_and_keeps_input():
@@ -155,38 +160,31 @@ def test_gelu_matches_closed_form_and_keeps_input():
 
 def test_loss_uniform_class_logits():
     # uniform logits: class term is ln 6 per position
-    out_cls = np.zeros((3, 6))
-    out_par = np.zeros((3, 4))
-    from sgforge.model import ModelOutputs
-
-    outputs = ModelOutputs(out_cls, out_par)
-    types = np.array([int(T.NONE)] * 3)
-    parents = np.zeros(3, dtype=int)
-    assert loss_from_outputs(outputs, types, parents, 1.0) == pytest.approx(math.log(6))
+    outputs = ModelOutputs(np.zeros((1, 3, 6)), np.zeros((1, 3, 4)))
+    types = np.array([[int(T.NONE)] * 3])
+    parents = np.zeros((1, 3), dtype=int)
+    [loss] = loss_from_outputs(outputs, types, parents, 1.0)
+    assert loss == pytest.approx(math.log(6))
 
 
 def test_loss_all_none_ignores_parent_logits():
-    from sgforge.model import ModelOutputs
-
     rng = np.random.default_rng(0)
-    cls = rng.normal(size=(4, 6))
-    types = np.array([int(T.NONE)] * 4)
-    parents = np.array([0, 1, 2, 3])
-    base = loss_from_outputs(ModelOutputs(cls, np.zeros((4, 5))), types, parents, 1.0)
+    cls = rng.normal(size=(1, 4, 6))
+    types = np.array([[int(T.NONE)] * 4])
+    parents = np.array([[0, 1, 2, 3]])
+    base = loss_from_outputs(ModelOutputs(cls, np.zeros((1, 4, 5))), types, parents, 1.0)
     perturbed = loss_from_outputs(
-        ModelOutputs(cls, rng.normal(size=(4, 5)) * 100), types, parents, 1.0
+        ModelOutputs(cls, rng.normal(size=(1, 4, 5)) * 100), types, parents, 1.0
     )
     assert perturbed - base == 0.0
 
 
 def test_parent_grad_zero_at_none_positions():
-    from sgforge.model import ModelOutputs
-
     rng = np.random.default_rng(1)
-    outputs = ModelOutputs(rng.normal(size=(4, 6)), rng.normal(size=(4, 5)))
-    types = np.array([int(T.SUBJ), int(T.NONE), int(T.ATTR), int(T.NONE)])
-    parents = np.array([0, 0, 4, 2])
-    _, d_parent = loss_output_grads(outputs, types, parents, 0.7)
+    outputs = ModelOutputs(rng.normal(size=(1, 4, 6)), rng.normal(size=(1, 4, 5)))
+    types = np.array([[int(T.SUBJ), int(T.NONE), int(T.ATTR), int(T.NONE)]])
+    parents = np.array([[0, 0, 4, 2]])
+    [_], [d_parent] = loss_output_grads(outputs, types, parents, 0.7)
     assert np.all(d_parent[1] == 0.0)
     assert np.all(d_parent[3] == 0.0)
     assert np.any(d_parent[0] != 0.0)
@@ -194,9 +192,9 @@ def test_parent_grad_zero_at_none_positions():
 
 def test_loss_length_mismatch():
     params = init_params(SMALL, seed=0)
-    [out] = forward(params, SMALL, [small_seq(3)])
+    out = forward(params, SMALL, [small_seq(3)])
     with pytest.raises(LengthMismatchError):
-        loss_from_outputs(out, np.zeros(2, dtype=int), np.zeros(2, dtype=int), 1.0)
+        loss_from_outputs(out, np.zeros((1, 2), dtype=int), np.zeros((1, 2), dtype=int), 1.0)
 
 
 def test_loss_and_grads_length_mismatch():
@@ -207,9 +205,11 @@ def test_loss_and_grads_length_mismatch():
 
 
 def batch_loss(params, cfg, seqs, types, parents, lam):
-    """Mean per-example loss, the quantity loss_and_grads differentiates."""
-    outs = forward(params, cfg, seqs)
-    return np.mean([loss_from_outputs(o, ty, pa, lam) for o, ty, pa in zip(outs, types, parents)])
+    """Mean per-example loss, the quantity loss_and_grads differentiates, each
+    example scored on its own unpadded rows, so that padding plays no part."""
+    out = forward(params, cfg, seqs)
+    return np.mean([loss_from_outputs(alone(out, i, len(ty)), ty[None], pa[None], lam)[0]
+                    for i, (ty, pa) in enumerate(zip(types, parents))])
 
 
 def finite_difference_check(cfg, seqs, types, parents, lam, step=1e-5, rel_tol=1e-4,
@@ -456,9 +456,10 @@ def test_batch_independence():
     # on its batch-mates or on how far the batch pads it (float32 tolerance)
     params = init_params(SMALL, seed=2)
     seqs, types, parents = random_batch(np.random.default_rng(4), [5, 8, 1, 3])
-    alone = [forward(params, SMALL, [seq])[0] for seq in seqs]
     together = forward(params, SMALL, seqs)
-    for a, b in zip(alone, together):
+    for i, seq in enumerate(seqs):
+        a = forward(params, SMALL, [seq])
+        b = alone(together, i, len(seq) - 1)
         assert a.class_logits.shape == b.class_logits.shape
         assert a.parent_logits.shape == b.parent_logits.shape
         assert np.allclose(a.class_logits, b.class_logits, rtol=1e-5, atol=1e-6)
@@ -700,11 +701,15 @@ def test_packed_forward_matches_padded_reference(batch):
     cfg, params, seqs, _, _, _ = batch
     ids, lengths = _pad(cfg, seqs)
     ref = forward_padded_reference(params, cfg, ids, lengths)[0]
-    for i, (n, out) in enumerate(zip(lengths, forward(params, cfg, seqs))):
-        assert_close_to_scale(out.class_logits, ref.class_logits[i, : n - 1], "class", 1e-6)
-        # the -inf columns of padded positions sit in the same places
-        assert_close_to_scale(out.parent_logits, ref.parent_logits[i, : n - 1, :n], "parent",
+    out = forward(params, cfg, seqs)
+    assert out.class_logits.shape == ref.class_logits.shape
+    assert out.parent_logits.shape == ref.parent_logits.shape
+    for i, n in enumerate(lengths):
+        assert_close_to_scale(out.class_logits[i, : n - 1], ref.class_logits[i, : n - 1], "class",
                               1e-6)
+        # the -inf columns of padded positions sit in the same places
+        assert_close_to_scale(out.parent_logits[i, : n - 1], ref.parent_logits[i, : n - 1],
+                              "parent", 1e-6)
 
 
 @given(ragged_batches())
@@ -752,8 +757,8 @@ def test_float32_params_give_float32_outputs_and_grads():
     # a scatter buffer made without a dtype would silently be float64
     params = init_params(SMALL, seed=3)
     seqs, types, parents = random_batch(np.random.default_rng(9), [5, 2, 7])
-    for out in forward(params, SMALL, seqs):
-        assert out.class_logits.dtype == out.parent_logits.dtype == np.float32
+    out = forward(params, SMALL, seqs)
+    assert out.class_logits.dtype == out.parent_logits.dtype == np.float32
     _, grads = loss_and_grads(params, SMALL, seqs, types, parents, 0.7)
     assert {name: g.dtype for name, g in grads.items()} == {name: np.float32 for name in params}
     # padded positions never reach the token embeddings

@@ -8,7 +8,17 @@ import pytest
 from sgforge.align import align
 from sgforge.data import generate_synthetic
 from sgforge.errors import CheckpointError, EmptyDatasetError, ShapeMismatchError
-from sgforge.model import ModelConfig, forward, init_params, loss_from_outputs, param_shapes
+from sgforge.model import (
+    ModelConfig,
+    ModelOutputs,
+    _forward,
+    _pad,
+    forward,
+    init_params,
+    loss_from_outputs,
+    loss_terms,
+    param_shapes,
+)
 from sgforge.tags import NodeType, tagged
 from sgforge.tokenizer import TokenSequence, Tokenizer
 from sgforge.train import (
@@ -182,6 +192,61 @@ def test_calibrate_lambda_equal_means():
     assert calibrate_lambda(params, cfg, [enc]) == pytest.approx(1.0, rel=1e-9)
 
 
+# `forward` used to return a list of per-example outputs, each example's rows
+# sliced out of the padded batch without a batch axis, and `calibrate_lambda`
+# read its terms from that list. Both are kept here verbatim as the reference
+# for λ, which the batched path must reproduce bit for bit.
+
+def list_forward(params, cfg, seqs):
+    ids, lengths = _pad(cfg, seqs)
+    out = _forward(params, cfg, ids, lengths)[0]
+    return [
+        ModelOutputs(out.class_logits[i, : n - 1], out.parent_logits[i, : n - 1, :n])
+        for i, n in enumerate(lengths)
+    ]
+
+
+def calibrate_lambda_reference(params, cfg, batch):
+    total_class = 0.0
+    n_class = 0
+    total_parent = 0.0
+    n_parent = 0
+    for enc, outputs in zip(batch, list_forward(params, cfg, [enc.seq for enc in batch])):
+        class_mean, parent_mean = loss_terms(outputs, enc.types, enc.parents)
+        t = len(enc.types)
+        k = int((enc.types != int(NodeType.NONE)).sum())
+        total_class += float(class_mean) * t
+        n_class += t
+        total_parent += float(parent_mean) * k
+        n_parent += k
+    if n_parent == 0 or total_parent <= 0.0:
+        return 1.0
+    return (total_class / n_class) / (total_parent / n_parent)
+
+
+def test_calibrate_lambda_equals_list_form_reference_bit_for_bit():
+    # numpy sums a row of 8 or more padded entries in another grouping than
+    # the same row unpadded, so a λ read from the padded batch would differ
+    cfg = ModelConfig(vocab_size=12, d_model=16, n_layers=1, n_heads=2, d_ff=16,
+                      max_len=32, d_qk=16)
+    rng = np.random.default_rng(25)
+    long_rows = 0
+    for trial in range(60):
+        params = init_params(cfg, seed=trial)
+        for p in params.values():  # move gains and biases off their 1 / 0 starts
+            p += rng.normal(0.0, 0.3, size=p.shape).astype(np.float32)
+        batch = []
+        for t in rng.integers(1, 30, size=int(rng.integers(1, 9))).tolist():
+            ids = (0,) + tuple(int(x) for x in rng.integers(4, cfg.vocab_size, size=t))
+            batch.append(Encoded(TokenSequence(ids, tuple(range(1, t + 1))),
+                                 rng.integers(0, 6, size=t), rng.integers(0, t + 1, size=t),
+                                 None))
+            long_rows += t >= 8
+        assert calibrate_lambda(params, cfg, batch) == calibrate_lambda_reference(params, cfg,
+                                                                                   batch), trial
+    assert long_rows > 60
+
+
 def synthetic_examples(n, seed=17):
     regions = generate_synthetic(n, seed=seed)
     out = []
@@ -243,9 +308,9 @@ def test_train_logs_epoch_records():
 
 
 def test_dev_loss_is_the_mean_of_per_example_losses():
-    # the dev loss sums `loss_terms` over each padded batch; the reference runs
-    # every example alone through `loss_from_outputs`. Padding and batching
-    # move only the last float32 bits.
+    # the dev loss sums `loss_from_outputs` over each padded batch; the
+    # reference runs every example alone, a batch of one without padding.
+    # Padding and batching move only the last float32 bits.
     examples = synthetic_examples(23, seed=5)
     tok = Tokenizer.from_corpus([ex.region.description for ex in examples])
     cfg = replace(DESK_SMALL, vocab_size=tok.vocab_size)
@@ -253,8 +318,8 @@ def test_dev_loss_is_the_mean_of_per_example_losses():
     dev = _encode_examples(tok, examples)
     assert len({len(enc.seq) for enc in dev}) > 1
     dev_loss, _ = _dev_metrics(params, cfg, dev, 0.7, 4)
-    alone = [loss_from_outputs(forward(params, cfg, [enc.seq])[0], enc.types, enc.parents, 0.7)
-             for enc in dev]
+    alone = [loss_from_outputs(forward(params, cfg, [enc.seq]), enc.types[None],
+                               enc.parents[None], 0.7)[0] for enc in dev]
     assert dev_loss == pytest.approx(np.mean(alone), rel=1e-6)
 
 
@@ -300,8 +365,8 @@ def test_checkpoint_forward_bit_exact(tmp_path):
     save_checkpoint(ckpt, base)
     loaded = load_checkpoint(base)
     seq = loaded.tokenizer.encode(examples[0].region.description)
-    [a] = forward(ckpt.params, ckpt.model_config, [seq])
-    [b] = forward(loaded.params, loaded.model_config, [seq])
+    a = forward(ckpt.params, ckpt.model_config, [seq])
+    b = forward(loaded.params, loaded.model_config, [seq])
     assert np.array_equal(a.class_logits, b.class_logits)
     assert np.array_equal(a.parent_logits, b.parent_logits)
 
@@ -388,6 +453,18 @@ def _edit_manifest(base, edit):
                  r"ckpt\.json: version must be an integer, got 4\.0$", id="float-version"),
     pytest.param(lambda m: m.update(step=3),
                  r"ckpt\.json: unknown manifest keys: \['step'\]$", id="unknown-manifest-key"),
+    # a tokenizer block that `Tokenizer.from_corpus` never makes would encode differently
+    pytest.param(lambda m: m["tokenizer"]["tokens"].insert(0, m["tokenizer"]["tokens"].pop(1)),
+                 r'ckpt\.json: tokenizer tokens must begin with \["<root>", "<unk>", "<pad>", '
+                 r'"<eos>"\]$', id="reserved-tokens-swapped"),
+    pytest.param(lambda m: m["tokenizer"]["tokens"].__setitem__(5, m["tokenizer"]["tokens"][4]),
+                 r'ckpt\.json: tokenizer tokens repeat "\w+"$', id="repeated-token"),
+    pytest.param(lambda m: m["tokenizer"].update(merges=[["a", "b"]]),
+                 r"ckpt\.json: word-mode tokenizer has merges$", id="word-mode-merges"),
+    pytest.param(lambda m: (m["tokenizer"].update(mode="bpe", merges=[["z", "q"]]),
+                            m["model_config"].update(tokenizer_mode="bpe")),
+                 r'ckpt\.json: tokenizer merge product "zq" is not among its tokens$',
+                 id="merge-product-missing"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
@@ -415,6 +492,20 @@ def test_load_checkpoint_rejects_payload_of_wrong_length(saved_checkpoint, edit)
         f.write(edit(payload))
     wrong = len(edit(payload))
     with pytest.raises(CheckpointError, match=f"ckpt.bin: holds {wrong} bytes.* {len(payload)}"):
+        load_checkpoint(saved_checkpoint)
+
+
+@pytest.mark.parametrize("value, first", [(math.nan, True), (math.inf, False), (-math.inf, True)])
+def test_load_checkpoint_rejects_non_finite_payload(saved_checkpoint, value, first):
+    with open(saved_checkpoint + ".bin", "rb") as f:
+        payload = bytearray(f.read())
+    at = 0 if first else len(payload) - 4
+    payload[at : at + 4] = np.array([value], dtype="<f4").tobytes()
+    with open(saved_checkpoint + ".bin", "wb") as f:
+        f.write(payload)
+    tensor = "head.w_c" if first else "tok_emb"  # the first and last in sorted-name order
+    with pytest.raises(CheckpointError,
+                       match=rf"ckpt\.bin: tensor {tensor} holds a non-finite value$"):
         load_checkpoint(saved_checkpoint)
 
 
