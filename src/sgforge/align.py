@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .data import json_list, json_object
-from .errors import cut
+from .errors import cut_json
 from .graph import SceneGraph, canonical_words, canonicalize_label
 from .tags import NodeType, TaggedSentence, TaggedToken
 
@@ -45,7 +45,7 @@ class Lexicon:
     def from_json(cls, text: str) -> "Lexicon":
         mapping = json_object(json.loads(text), "lexicon")
         return cls.from_pairs({
-            label: json_list(syns, f"the synonyms of {cut(json.dumps(label))}", str)
+            label: json_list(syns, f"the synonyms of {cut_json(label)}", str)
             for label, syns in mapping.items()})
 
     def __bool__(self) -> bool:

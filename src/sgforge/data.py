@@ -15,28 +15,23 @@ import json
 import random
 from dataclasses import dataclass, fields
 
-from .errors import DanglingReferenceError, EmptyLabelError, cut
+from .errors import DanglingReferenceError, EmptyLabelError, cut, cut_json
 from .graph import SceneGraph, build_graph
 
 _BLANK_PHRASE = "empty region description"
 
 
-def _spelled(value) -> str:
-    """value as JSON, cut (`errors.cut`) for an error message."""
-    return cut(json.dumps(value))
-
-
 def json_int(value, field: str) -> int:
     """value, if it is a JSON integer; a bool, float or string is a TypeError."""
     if type(value) is not int:
-        raise TypeError(f"{field} must be an integer, got {_spelled(value)}")
+        raise TypeError(f"{field} must be an integer, got {cut_json(value)}")
     return value
 
 
 def json_str(value, field: str) -> str:
     """value, if it is a JSON string."""
     if type(value) is not str:
-        raise TypeError(f"{field} must be a string, got {_spelled(value)}")
+        raise TypeError(f"{field} must be a string, got {cut_json(value)}")
     return value
 
 
@@ -44,7 +39,7 @@ def json_object(value, kind: str, keys=None, required=()) -> dict:
     """value, if it is a JSON object that holds every key in `required` and,
     unless `keys` is None, no key outside `keys`."""
     if type(value) is not dict:
-        raise TypeError(f"{kind} must be a JSON object, got {_spelled(value)}")
+        raise TypeError(f"{kind} must be a JSON object, got {cut_json(value)}")
     if keys is not None and value.keys() - keys:
         raise ValueError(f"unknown {kind} keys: {cut(str(sorted(value.keys() - keys)))}")
     missing = [k for k in required if k not in value]
@@ -62,9 +57,9 @@ def json_list(value, field: str, kind: type, size: int = 0) -> list:
                 break
         else:
             return value
-        got = f"{_spelled(item)} in it"
+        got = f"{cut_json(item)} in it"
     else:
-        got = _spelled(value)
+        got = cut_json(value)
     what = f"lists of {size} elements" if size else {
         dict: "JSON objects", list: "lists", str: "strings", int: "integers"}[kind]
     raise TypeError(f"{field} must be a list of {what}, got {got}")
@@ -82,7 +77,7 @@ def check_field_types(config) -> None:
         value = getattr(config, f.name)
         types, what = _FIELD_TYPES[f.type]
         if type(value) not in types:
-            raise TypeError(f"{f.name} must be {what}, got {_spelled(value)}")
+            raise TypeError(f"{f.name} must be {what}, got {cut_json(value)}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the cut-off for input that
 their messages quote."""
 
+import json
+
 _QUOTE_LIMIT = 80
 
 
@@ -10,6 +12,11 @@ def cut(spelled: str) -> str:
     if len(spelled) <= _QUOTE_LIMIT:
         return spelled
     return f"{spelled[:_QUOTE_LIMIT]}... ({len(spelled):,} characters)"
+
+
+def cut_json(value) -> str:
+    """value spelled as JSON, then `cut`: how a message quotes input data."""
+    return cut(json.dumps(value))
 
 
 class SgforgeError(Exception):

@@ -21,7 +21,7 @@ from .errors import (
     SequenceTooLongError,
     ShapeMismatchError,
     TrainingDivergedError,
-    cut,
+    cut_json,
 )
 from .graph import SceneGraph, canonical_words
 from .metrics import evaluate_corpus
@@ -198,9 +198,10 @@ def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
 
 def load_checkpoint(base_path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
-    unless the manifest is well formed, its tokenizer block is one that
-    `Tokenizer.from_corpus` could make, and the payload holds exactly the
-    finite float32 values that `param_shapes(model_config)` asks for."""
+    unless the manifest is well formed, its tokenizer block keeps the rules
+    that every `Tokenizer.from_corpus` block keeps, and the payload holds
+    exactly the finite float32 values that `param_shapes(model_config)` asks
+    for."""
     json_path, bin_path = base_path + ".json", base_path + ".bin"
     try:
         with open(json_path, encoding="utf-8") as f:
@@ -213,7 +214,7 @@ def load_checkpoint(base_path: str) -> Checkpoint:
         json_object(manifest, "manifest", _MANIFEST_KEYS, _MANIFEST_KEYS)
         version = json_int(manifest["version"], "version")  # not 4.0, which equals 4
         if (manifest["format"], version) != (_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION):
-            raise ValueError(f"unsupported format {cut(json.dumps(manifest['format']))} "
+            raise ValueError(f"unsupported format {cut_json(manifest['format'])} "
                              f"version {version}")
         configs = []
         for key, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
@@ -228,17 +229,20 @@ def load_checkpoint(base_path: str) -> Checkpoint:
             tuple(tuple(json_list(m, "a tokenizer merge", str)) for m in merges))
         json_object(manifest["metrics"], "metrics")
         tokens = tokenizer.tokens
-        vocab = set(tokens)
         if tokens[: len(RESERVED)] != RESERVED:
             raise ValueError(f"tokenizer tokens must begin with {json.dumps(RESERVED)}")
-        if len(vocab) != len(tokens):
-            repeated = next(token for token, n in Counter(tokens).items() if n > 1)
-            raise ValueError(f"tokenizer tokens repeat {cut(json.dumps(repeated))}")
+        # a corpus word may spell a reserved token ("<unk>"), so only the
+        # tokens after RESERVED are distinct in every block training writes
+        learned = tokens[len(RESERVED):]
+        if len(set(learned)) != len(learned):
+            repeated = next(token for token, n in Counter(learned).items() if n > 1)
+            raise ValueError(f"tokenizer tokens repeat {cut_json(repeated)}")
         if tokenizer.mode == "word" and tokenizer.merges:
             raise ValueError("word-mode tokenizer has merges")
+        vocab = set(tokens)
         unmade = [a + b for a, b in tokenizer.merges if a + b not in vocab]
         if unmade:
-            raise ValueError(f"tokenizer merge product {cut(json.dumps(unmade[0]))} "
+            raise ValueError(f"tokenizer merge product {cut_json(unmade[0])} "
                              "is not among its tokens")
         if tokenizer.mode != model_config.tokenizer_mode:
             raise ValueError(f"tokenizer mode {tokenizer.mode!r} differs from "

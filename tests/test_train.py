@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sgforge.align import align
+from sgforge.cli import run
 from sgforge.data import generate_synthetic
 from sgforge.errors import CheckpointError, EmptyDatasetError, ShapeMismatchError
 from sgforge.model import (
@@ -391,6 +392,35 @@ def _edit_manifest(base, edit):
     edit(manifest)
     with open(base + ".json", "w") as f:
         json.dump(manifest, f)
+
+
+@pytest.mark.parametrize("mode", ["word", "bpe"])
+def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode):
+    # canonical_words only lowercases, so "<UNK>" in a description becomes a
+    # learned token equal to a reserved one; training writes it, so loading
+    # must read it back and encode as the trained tokenizer did
+    examples = []
+    for r in generate_synthetic(8, seed=17):
+        r = replace(r, description=f"<UNK> {r.description} <Pad>")
+        examples.append(Example(r, align(r.description, r.graph).tagged))
+    result = train(examples[:6], examples[6:], replace(DESK_SMALL, tokenizer_mode=mode),
+                   TrainConfig(epochs=1, seed=5, batch_size=4))
+    tok = result.final.tokenizer
+    assert {"<unk>", "<pad>"} <= set(tok.tokens[4:])
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(result.final, base)
+    loaded = load_checkpoint(base)
+    assert loaded.tokenizer == tok
+    text = examples[0].region.description
+    assert loaded.tokenizer.encode(text) == tok.encode(text)
+    a = forward(result.final.params, result.final.model_config, [tok.encode(text)])
+    b = forward(loaded.params, loaded.model_config, [loaded.tokenizer.encode(text)])
+    assert np.array_equal(a.class_logits, b.class_logits)
+    assert np.array_equal(a.parent_logits, b.parent_logits)
+    texts = tmp_path / "texts.txt"
+    texts.write_text(text + "\n", encoding="utf-8")
+    assert run(["parse", "--ckpt", base, "--input", str(texts),
+                "--out", str(tmp_path / "pred.jsonl")]) == 0
 
 
 @pytest.mark.parametrize("edit, needle", [
