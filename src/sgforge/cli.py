@@ -259,7 +259,6 @@ def _cmd_train(args) -> int:
     except ConfigError as e:  # the model config is too large for the tokenizer's vocabulary
         raise ConfigError(f"{args.model_config or 'model config'}: {e}") from None
     train.save_checkpoint(result.final, args.out)
-    train.save_checkpoint(result.best, args.out + ".best")
     return 0
 
 

@@ -272,7 +272,6 @@ def load_checkpoint(base_path: str) -> Checkpoint:
 @dataclass
 class TrainResult:
     final: Checkpoint
-    best: Checkpoint
     log: list[dict]
 
 
@@ -320,7 +319,8 @@ def train(
     log_fn=None,
 ) -> TrainResult:
     """Train for the configured number of epochs; emit one JSON log line per
-    epoch and return both the final and the best-dev checkpoints."""
+    epoch (dev loss and dev F included) and return the checkpoint of the last
+    epoch, which holds the trained params themselves, not a copy."""
     if not train_examples:
         raise EmptyDatasetError("no training examples")
     tokenizer = Tokenizer.from_corpus(
@@ -344,12 +344,6 @@ def train(
 
     state = AdamState()
     log: list[dict] = []
-    best: Checkpoint | None = None  # the epoch with the highest dev F so far
-
-    def make_ckpt(metrics):
-        return Checkpoint(model_cfg, train_cfg, tokenizer,
-                          {name: arr.copy() for name, arr in params.items()}, dict(metrics))
-
     for epoch in range(1, train_cfg.epochs + 1):
         order = rng.permutation(len(train_enc))
         epoch_loss = 0.0
@@ -384,7 +378,5 @@ def train(
         log.append(record)
         if log_fn is not None:
             log_fn(json.dumps(record, sort_keys=True, allow_nan=False))
-        if dev_f is not None and (best is None or dev_f > best.metrics["dev_f"]):
-            best = make_ckpt(record)
-    final = make_ckpt(log[-1] if log else {"epoch": 0, "step": 0, "lambda": loss_weight})
-    return TrainResult(final, best or final, log)  # no dev set: best mirrors final
+    metrics = dict(log[-1]) if log else {"epoch": 0, "step": 0, "lambda": loss_weight}
+    return TrainResult(Checkpoint(model_cfg, train_cfg, tokenizer, params, metrics), log)

