@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-from .errors import cut
+from .errors import cut, cut_json
 from .graph import canonical_words
 
 ROOT_ID = 0
@@ -102,8 +102,20 @@ class Tokenizer:
     _pieces: dict = field(default_factory=dict, repr=False, compare=False)  # word -> ids
 
     def __post_init__(self):
+        """Refuse a block that `from_corpus` could not have made, since it
+        would encode differently."""
         if self.mode not in ("word", "bpe"):
             raise ValueError(f"unknown tokenizer mode {cut(repr(self.mode))}")
+        if self.tokens[: len(RESERVED)] != RESERVED:
+            raise ValueError(f"tokenizer tokens must begin with {cut_json(RESERVED)}")
+        # a corpus word may spell a reserved token ("<unk>"), so only the
+        # learned tokens, after RESERVED, are distinct
+        learned = self.tokens[len(RESERVED):]
+        if len(set(learned)) != len(learned):
+            repeated = next(token for token, n in Counter(learned).items() if n > 1)
+            raise ValueError(f"tokenizer tokens repeat {cut_json(repeated)}")
+        if self.mode == "word" and self.merges:
+            raise ValueError("word-mode tokenizer has merges")
         made = set()  # learn_bpe's order, in which apply_bpe repeats its merges
         for a, b in self.merges:
             unmade = [s for s in (a, b) if len(s) != 1 and s not in made]
@@ -115,6 +127,10 @@ class Tokenizer:
                                  f"{cut(repr(a + b))} a second time")
             made.add(a + b)
         self._ids.update({tok: i for i, tok in enumerate(self.tokens)})
+        lost = [a + b for a, b in self.merges if a + b not in self._ids]
+        if lost:
+            raise ValueError(f"tokenizer merge product {cut_json(lost[0])} "
+                             "is not among its tokens")
         self._ranks.update({pair: i for i, pair in enumerate(self.merges)})
 
     @property
@@ -140,10 +156,8 @@ class Tokenizer:
     def from_corpus(cls, texts: list[str], mode: str = "word", n_merges: int = 200) -> "Tokenizer":
         words = [w for t in texts for w in canonical_words(t)]
         if mode == "word":
-            vocab = sorted(set(words))
-            return cls("word", RESERVED + tuple(vocab))
+            return cls(mode, RESERVED + tuple(sorted(set(words))))
         merges = learn_bpe(words, n_merges)
         chars = sorted({c for w in words for c in w})
         made = [a + b for a, b in merges]  # in learning order, each merge makes a new symbol
-        return cls("bpe", RESERVED + tuple(chars + made), tuple(merges))
-
+        return cls(mode, RESERVED + tuple(chars + made), tuple(merges))

@@ -6,9 +6,10 @@ reproduces tensors bit-exactly. Runs are deterministic under a fixed seed.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from collections import Counter
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from .model import (
     target_arrays,
 )
 from .tags import NodeType, TaggedSentence, decode_tags_to_graph
-from .tokenizer import RESERVED, Tokenizer, TokenSequence
+from .tokenizer import Tokenizer, TokenSequence
 
 
 # Adam's published defaults (Kingma & Ba 2015)
@@ -165,43 +166,50 @@ class Checkpoint:
 
 
 _CHECKPOINT_FORMAT = "sgforge-checkpoint"
-_CHECKPOINT_VERSION = 4
-_MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "metrics")
-_TOKENIZER_KEYS = ("mode", "tokens", "merges")
+_CHECKPOINT_VERSION = 5
+_MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "metrics",
+                  "payload_sha256")
+_TOKENIZER_KEYS = ("tokens", "merges")
+# what a --model-config file may set; vocab_size is the tokenizer's token count
+_MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
 
 
 def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
-    """Write the {base}.json manifest and the {base}.bin payload: every param
-    as little-endian float32, in sorted-name order, back to back. The layout
-    follows from `param_shapes(model_config)`, so the manifest does not list it
-    and the params must have exactly those names and shapes."""
-    if {name: p.shape for name, p in ckpt.params.items()} != param_shapes(ckpt.model_config):
+    """Write the {base}.bin payload, every param as little-endian float32 in
+    sorted-name order, back to back, and the {base}.json manifest, which
+    holds its SHA-256. The layout follows from `param_shapes(model_config)`,
+    so the params must have exactly those names and shapes. Both files are
+    written under a .tmp suffix, then the .bin and last the .json renamed into
+    place, so an interrupted save leaves no pair that loads."""
+    cfg = replace(ckpt.model_config, vocab_size=ckpt.tokenizer.vocab_size)
+    if {name: p.shape for name, p in ckpt.params.items()} != param_shapes(cfg):
         raise ShapeMismatchError("checkpoint params differ from param_shapes(model_config)")
+    payload = b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes()
+                       for name in sorted(ckpt.params))
     manifest = {
         "format": _CHECKPOINT_FORMAT,
         "version": _CHECKPOINT_VERSION,
-        "model_config": asdict(ckpt.model_config),
+        "model_config": {key: getattr(cfg, key) for key in _MODEL_KEYS},
         "train_config": asdict(ckpt.train_config),
-        "tokenizer": {
-            "mode": ckpt.tokenizer.mode,
-            "tokens": list(ckpt.tokenizer.tokens),
-            "merges": [list(m) for m in ckpt.tokenizer.merges],
-        },
+        "tokenizer": {"tokens": list(ckpt.tokenizer.tokens),
+                      "merges": [list(m) for m in ckpt.tokenizer.merges]},
         "metrics": ckpt.metrics,
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    with open(base_path + ".json", "w", encoding="utf-8") as f:
+    with open(base_path + ".bin.tmp", "wb") as f:
+        f.write(payload)
+    with open(base_path + ".json.tmp", "w", encoding="utf-8") as f:
         f.write(json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n")
-    with open(base_path + ".bin", "wb") as f:
-        f.write(b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes()
-                         for name in sorted(ckpt.params)))
+    for ext in (".bin", ".json"):
+        os.replace(base_path + ext + ".tmp", base_path + ext)
 
 
 def load_checkpoint(base_path: str) -> Checkpoint:
     """Read a checkpoint written by `save_checkpoint`. Raises CheckpointError
-    unless the manifest is well formed, its tokenizer block keeps the rules
-    that every `Tokenizer.from_corpus` block keeps, and the payload holds
-    exactly the finite float32 values that `param_shapes(model_config)` asks
-    for."""
+    unless the manifest is well formed, its tokenizer block makes a
+    `Tokenizer`, and the payload is the one the manifest's digest names and
+    holds exactly the finite float32 values that `param_shapes(model_config)`
+    asks for."""
     json_path, bin_path = base_path + ".json", base_path + ".bin"
     try:
         with open(json_path, encoding="utf-8") as f:
@@ -212,44 +220,23 @@ def load_checkpoint(base_path: str) -> Checkpoint:
         raise CheckpointError(f"cannot read checkpoint {base_path}: {e}") from None
     try:
         json_object(manifest, "manifest", _MANIFEST_KEYS, _MANIFEST_KEYS)
-        version = json_int(manifest["version"], "version")  # not 4.0, which equals 4
+        version = json_int(manifest["version"], "version")  # not 5.0, which equals 5
         if (manifest["format"], version) != (_CHECKPOINT_FORMAT, _CHECKPOINT_VERSION):
             raise ValueError(f"unsupported format {cut_json(manifest['format'])} "
                              f"version {version}")
-        configs = []
-        for key, cls in (("model_config", ModelConfig), ("train_config", TrainConfig)):
-            names = [f.name for f in fields(cls)]  # save_checkpoint writes every field
-            configs.append(cls(**json_object(manifest[key], key, names, names)))
-        model_config, train_config = configs
         tok = json_object(manifest["tokenizer"], "tokenizer", _TOKENIZER_KEYS, _TOKENIZER_KEYS)
+        tokens = tuple(json_list(tok["tokens"], "tokenizer tokens", str))
+        model_config = ModelConfig(vocab_size=len(tokens), **json_object(
+            manifest["model_config"], "model_config", _MODEL_KEYS, _MODEL_KEYS))
+        names = [f.name for f in fields(TrainConfig)]  # save_checkpoint writes every field
+        train_config = TrainConfig(**json_object(manifest["train_config"], "train_config",
+                                                 names, names))
         merges = json_list(tok["merges"], "tokenizer merges", list, 2)
         tokenizer = Tokenizer(
-            json_str(tok["mode"], "tokenizer mode"),
-            tuple(json_list(tok["tokens"], "tokenizer tokens", str)),
+            model_config.tokenizer_mode, tokens,
             tuple(tuple(json_list(m, "a tokenizer merge", str)) for m in merges))
         json_object(manifest["metrics"], "metrics")
-        tokens = tokenizer.tokens
-        if tokens[: len(RESERVED)] != RESERVED:
-            raise ValueError(f"tokenizer tokens must begin with {json.dumps(RESERVED)}")
-        # a corpus word may spell a reserved token ("<unk>"), so only the
-        # tokens after RESERVED are distinct in every block training writes
-        learned = tokens[len(RESERVED):]
-        if len(set(learned)) != len(learned):
-            repeated = next(token for token, n in Counter(learned).items() if n > 1)
-            raise ValueError(f"tokenizer tokens repeat {cut_json(repeated)}")
-        if tokenizer.mode == "word" and tokenizer.merges:
-            raise ValueError("word-mode tokenizer has merges")
-        vocab = set(tokens)
-        unmade = [a + b for a, b in tokenizer.merges if a + b not in vocab]
-        if unmade:
-            raise ValueError(f"tokenizer merge product {cut_json(unmade[0])} "
-                             "is not among its tokens")
-        if tokenizer.mode != model_config.tokenizer_mode:
-            raise ValueError(f"tokenizer mode {tokenizer.mode!r} differs from "
-                             f"model_config.tokenizer_mode {model_config.tokenizer_mode!r}")
-        if tokenizer.vocab_size != model_config.vocab_size:
-            raise ValueError(f"tokenizer has {tokenizer.vocab_size} tokens, "
-                             f"model_config.vocab_size is {model_config.vocab_size}")
+        digest = json_str(manifest["payload_sha256"], "payload_sha256")
     except (TypeError, ValueError) as e:
         raise CheckpointError(f"{json_path}: {e}") from None
     shapes = param_shapes(model_config)
@@ -258,6 +245,9 @@ def load_checkpoint(base_path: str) -> Checkpoint:
     if len(payload) != need:
         raise CheckpointError(f"{bin_path}: holds {len(payload)} bytes, the model config in "
                               f"{json_path} needs {need}")
+    if hashlib.sha256(payload).hexdigest() != digest:
+        raise CheckpointError(f"{bin_path}: its SHA-256 differs from payload_sha256 in "
+                              f"{json_path}")
     values = np.frombuffer(payload, dtype="<f4")
     params: Params = {}
     offset = 0

@@ -175,6 +175,7 @@ def test_train_writes_checkpoints(trained):
     for suffix in (".json", ".bin"):
         assert os.path.exists(ckpt_base + suffix)
     assert not list(tmp.glob("ckpt.best.*"))  # one checkpoint per run: the last epoch's
+    assert not list(tmp.glob("*.tmp"))  # both files were renamed into place
 
 
 def test_parse_conll_and_graph_json(trained, tmp_path):
@@ -442,6 +443,7 @@ def _set(section: str, key: str, value):
 
 @pytest.mark.parametrize("edit_manifest, edit_payload, named", [
     (_set_version_3, None, ""),
+    (lambda manifest: manifest.update(version=4), None, "version 4"),
     (None, lambda payload: payload[:-1], ""),
     (None, lambda payload: payload + bytes(4), ""),
     (_widen_d_ff, None, ""),
@@ -450,7 +452,7 @@ def _set(section: str, key: str, value):
     (_set("model_config", "n_layers", True), None, "n_layers"),
     (_set("train_config", "batch_size", 8.5), None, "batch_size"),
     (_set("train_config", "seed", 0.5), None, "seed"),
-], ids=["version-3", "short-payload", "long-payload", "d_ff-plus-one", "float-d_model",
+], ids=["version-3", "version-4", "short-payload", "long-payload", "d_ff-plus-one", "float-d_model",
         "float-max_len", "true-n_layers", "float-batch_size", "float-seed"])
 def test_parse_bad_checkpoint_is_one_line_naming_the_file(trained, tmp_path, capsys,
                                                           edit_manifest, edit_payload, named):

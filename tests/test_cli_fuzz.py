@@ -6,9 +6,10 @@ corrupts one of them (a JSON value replaced, deleted or added, a CONLL field
 rewritten, text spliced in, raw bytes inserted, or the file truncated) and
 runs every command that reads that kind of file. Other examples give a
 subcommand's options values such as a missing path, a directory, "-", a
-negative number or NaN. Others give a checkpoint manifest's config or tokenizer
-field, or a split spec's image ids, a value of the wrong JSON type, or add a key
-the manifest section does not define: that must be exit code 2 with one line on
+negative number or NaN. Others give a checkpoint manifest's own field or a
+config or tokenizer field, or a split spec's image ids, a value of the wrong JSON
+type, or add a key the manifest or its section does not define: that must be
+exit code 2 with one line on
 stderr that names the file and the field and spells no value the Python way
 (`None`, `True`). The examples are derandomized, so every run of the suite
 tries the same inputs; raise max_examples for a longer search.
@@ -226,11 +227,13 @@ def test_odd_argument_values_give_an_exit_code(template):
 
 
 def wrongly_typed(value):
-    """A JSON value whose type is not that of `value`, a config or tokenizer
-    field: a float (a right type for a float field), `true` or `false`, a
-    string, a list of integers (not empty for a list field), an object or null."""
+    """A JSON value whose type is not that of `value`, a manifest, config or
+    tokenizer field: a float (a right type for a float field), `true` or
+    `false`, a string, a list of integers (not empty for a list field), an
+    object (not for an object field) or null."""
     wrong = st.booleans() | st.text(max_size=4) | st.none()
-    wrong |= st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+    if type(value) is not dict:
+        wrong |= st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
     wrong |= st.lists(st.integers(0, 9), min_size=1 if type(value) is list else 0, max_size=2)
     return wrong if type(value) is float else wrong | st.floats()
 
@@ -250,13 +253,16 @@ def assert_one_line_naming(err: str, path: str, field: str) -> None:
 @given(data=st.data())
 def test_wrongly_typed_manifest_config_is_one_line(work, data):
     manifest = json.loads((work / "ckpt.json").read_text())
-    section = data.draw(st.sampled_from(["model_config", "train_config", "tokenizer"]))
+    section = data.draw(st.sampled_from(["manifest", "model_config", "train_config",
+                                         "tokenizer"]))
+    fields = manifest if section == "manifest" else manifest[section]
     if data.draw(st.integers(0, 5)) == 0:  # a key the section does not define
         field = data.draw(st.sampled_from(["extra", "vocab", "step", "lambda_mode"]))
-        manifest[section][field] = data.draw(json_values)
+        fields[field] = data.draw(json_values)
     else:
-        field = data.draw(st.sampled_from(sorted(manifest[section])))
-        manifest[section][field] = data.draw(wrongly_typed(manifest[section][field]))
+        # a wrong digest names the .bin, then payload_sha256 and the manifest
+        field = data.draw(st.sampled_from(sorted(fields)))
+        fields[field] = data.draw(wrongly_typed(fields[field]))
     (work / "bad-ckpt.json").write_text(json.dumps(manifest))
     (work / "bad-ckpt.bin").write_bytes((work / "ckpt.bin").read_bytes())
     code, err = cli_err(["parse", "--ckpt", f"{work}/bad-ckpt", "--regions",

@@ -194,10 +194,15 @@ def test_apply_bpe_equals_first_occurrence_apply_on_learned_merges(alphabet, lon
     # pair at once and merging them one step each give the same pieces
     words = data.draw(st.lists(st.text(alphabet=alphabet, min_size=1, max_size=9), max_size=25))
     merges = learn_bpe(words, data.draw(st.integers(min_value=0, max_value=40)))
-    Tokenizer("bpe", RESERVED, tuple(merges))  # passes the learning-order check
+    Tokenizer("bpe", RESERVED + made_tokens(merges), tuple(merges))  # passes the order check
     ranks = {pair: i for i, pair in enumerate(merges)}
     for w in all_words(alphabet, longest):
         assert apply_bpe(w, ranks) == apply_bpe_first_occurrence(w, ranks)
+
+
+def made_tokens(merges):
+    """The symbols the merges make, each once, in the order they first make them."""
+    return tuple(dict.fromkeys(a + b for a, b in merges))
 
 
 def from_corpus_symbol_loop(texts, n_merges=200):
@@ -236,4 +241,30 @@ def test_tokenizer_rejects_merges_out_of_learning_order(merges, word, first_occu
     assert apply_bpe_first_occurrence(word, ranks) == first_occurrence
     assert apply_bpe(word, ranks) == every_occurrence
     with pytest.raises(ValueError, match=needle):
-        Tokenizer("bpe", RESERVED, tuple(merges))
+        Tokenizer("bpe", RESERVED + made_tokens(merges), tuple(merges))
+
+
+@pytest.mark.parametrize("mode, tokens, merges, needle", [
+    ("word", RESERVED[::-1] + ("bus",), (),
+     r'tokenizer tokens must begin with \["<root>", "<unk>"'),
+    ("word", RESERVED + ("bus", "red", "bus"), (), 'tokenizer tokens repeat "bus"'),
+    ("word", RESERVED + ("b", "u", "bu"), (("b", "u"),), "word-mode tokenizer has merges"),
+    ("bpe", RESERVED + ("b", "u"), (("b", "u"),),
+     'tokenizer merge product "bu" is not among its tokens'),
+    ("char", RESERVED, (), "unknown tokenizer mode 'char'"),
+], ids=["reserved-swapped", "repeated", "word-merges", "product-missing", "mode-unknown"])
+def test_tokenizer_rejects_what_from_corpus_never_makes(mode, tokens, merges, needle):
+    with pytest.raises(ValueError, match=needle):
+        Tokenizer(mode, tokens, merges)
+
+
+def test_tokenizer_accepts_learned_tokens_that_spell_reserved_ones():
+    # canonical_words only lowercases, so a description holding "<UNK>" learns "<unk>"
+    tok = Tokenizer.from_corpus(["<UNK> bus <root>"], mode="word")
+    assert tok.tokens == RESERVED + ("<root>", "<unk>", "bus")
+    assert tok.encode("<unk>").ids == (ROOT_ID, tok.vocab_size - 2)
+
+
+def test_from_corpus_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown tokenizer mode 'wrod'"):
+        Tokenizer.from_corpus(["red bus"], mode="wrod")

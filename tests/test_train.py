@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -394,6 +396,24 @@ def _edit_manifest(base, edit):
         json.dump(manifest, f)
 
 
+def bpe_merges(manifest, merges, made=True):
+    """Make the manifest's tokenizer a BPE one with these merges and, if
+    `made`, their products among its tokens."""
+    manifest["model_config"]["tokenizer_mode"] = "bpe"
+    manifest["tokenizer"]["merges"] = merges
+    if made:
+        manifest["tokenizer"]["tokens"] += list(dict.fromkeys(a + b for a, b in merges))
+
+
+def _write_payload(base, payload, digest=True):
+    """Replace the payload; with `digest`, state its SHA-256 in the manifest,
+    as a hand-made manifest may."""
+    with open(base + ".bin", "wb") as f:
+        f.write(payload)
+    if digest:
+        _edit_manifest(base, lambda m: m.update(payload_sha256=hashlib.sha256(payload).hexdigest()))
+
+
 @pytest.mark.parametrize("mode", ["word", "bpe"])
 def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode):
     # canonical_words only lowercases, so "<UNK>" in a description becomes a
@@ -428,9 +448,11 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
     (lambda m: m.update(version=1), "version"),
     (lambda m: m.update(version=2), "version 2"),
     (lambda m: m.update(version=3), "version 3"),
+    (lambda m: m.update(version=4), "version 4"),
     (lambda m: m.pop("tokenizer"), "tokenizer"),
     (lambda m: m["train_config"].update(batch_size=0), "batch_size"),
-    (lambda m: m["model_config"].update(vocab_size=m["model_config"]["vocab_size"] + 1),
+    # the token count is the vocabulary size, so the config may not state it
+    (lambda m: m["model_config"].update(vocab_size=len(m["tokenizer"]["tokens"])),
      "vocab_size"),
     (lambda m: m["model_config"].update(d_ff=m["model_config"]["d_ff"] + 1), "ckpt.bin"),
     # save_checkpoint writes every config field, so a missing one is an error, not a default
@@ -441,12 +463,12 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
                  id="missing-tokenizer_mode"),
     pytest.param(lambda m: m["train_config"].pop("batch_size"),
                  r"ckpt\.json: train_config lacks \['batch_size'\]", id="missing-batch_size"),
-    # parse would encode in the manifest's tokenizer mode, not the model's
-    pytest.param(lambda m: m["tokenizer"].update(mode="bpe"),
-                 r"tokenizer mode 'bpe' differs from model_config\.tokenizer_mode 'word'",
-                 id="mode-differs"),
-    pytest.param(lambda m: m["tokenizer"].update(mode="char"),
-                 "unknown tokenizer mode 'char'", id="mode-unknown"),
+    # the mode is model_config.tokenizer_mode, so the tokenizer block may not state it
+    pytest.param(lambda m: m["tokenizer"].update(mode="word"),
+                 r"ckpt\.json: unknown tokenizer keys: \['mode'\]$", id="mode-differs"),
+    pytest.param(lambda m: m["model_config"].update(tokenizer_mode="char"),
+                 r"ckpt\.json: tokenizer_mode must be 'word' or 'bpe', got 'char'$",
+                 id="mode-unknown"),
     pytest.param(lambda m: m["tokenizer"]["tokens"].__setitem__(4, 7),
                  "tokens must be a list of strings", id="token-not-a-string"),
     pytest.param(lambda m: m["tokenizer"].update(merges=["ab"]),
@@ -456,9 +478,9 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
                  r'tokenizer merges must be a list of lists of 2 elements, got \["a", "b", "c"\]',
                  id="merge-of-three"),
     # lists learn_bpe never writes: apply_bpe would split words unlike the learner
-    pytest.param(lambda m: m["tokenizer"].update(merges=[["aa", "a"], ["a", "a"]]),
+    pytest.param(lambda m: bpe_merges(m, [["aa", "a"], ["a", "a"]]),
                  "merge 'aa' 'a' uses 'aa' before a merge makes it", id="merge-used-before-made"),
-    pytest.param(lambda m: m["tokenizer"].update(merges=[
+    pytest.param(lambda m: bpe_merges(m, [
         ["b", "a"], ["a", "b"], ["b", "ab"], ["bab", "ba"], ["ba", "b"], ["b", "b"],
         ["babba", "ab"]]), "merge 'ba' 'b' makes 'bab' a second time", id="merge-made-twice"),
     # every section follows the key and type rules of the CLI's JSON files
@@ -472,8 +494,8 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
                  id="tokenizer-not-an-object"),
     pytest.param(lambda m: m["tokenizer"].pop("merges"),
                  r"ckpt\.json: tokenizer lacks \['merges'\]$", id="missing-merges"),
-    pytest.param(lambda m: m["tokenizer"].update(mode=None),
-                 r"ckpt\.json: tokenizer mode must be a string, got null$", id="null-mode"),
+    pytest.param(lambda m: m["model_config"].update(tokenizer_mode=None),
+                 r"ckpt\.json: tokenizer_mode must be a string, got null$", id="null-mode"),
     pytest.param(lambda m: m["tokenizer"].update(merges=[["a", True]]),
                  r"ckpt\.json: a tokenizer merge must be a list of strings, got true in it$",
                  id="merge-of-a-bool"),
@@ -491,10 +513,11 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
                  r'ckpt\.json: tokenizer tokens repeat "\w+"$', id="repeated-token"),
     pytest.param(lambda m: m["tokenizer"].update(merges=[["a", "b"]]),
                  r"ckpt\.json: word-mode tokenizer has merges$", id="word-mode-merges"),
-    pytest.param(lambda m: (m["tokenizer"].update(mode="bpe", merges=[["z", "q"]]),
-                            m["model_config"].update(tokenizer_mode="bpe")),
+    pytest.param(lambda m: bpe_merges(m, [["z", "q"]], made=False),
                  r'ckpt\.json: tokenizer merge product "zq" is not among its tokens$',
                  id="merge-product-missing"),
+    pytest.param(lambda m: m.update(payload_sha256=None),
+                 r"ckpt\.json: payload_sha256 must be a string, got null$", id="null-digest"),
 ])
 def test_load_checkpoint_rejects_bad_manifests(saved_checkpoint, edit, needle):
     _edit_manifest(saved_checkpoint, edit)
@@ -518,8 +541,7 @@ def test_load_checkpoint_rejects_a_manifest_that_is_not_an_object(saved_checkpoi
 def test_load_checkpoint_rejects_payload_of_wrong_length(saved_checkpoint, edit):
     with open(saved_checkpoint + ".bin", "rb") as f:
         payload = f.read()
-    with open(saved_checkpoint + ".bin", "wb") as f:
-        f.write(edit(payload))
+    _write_payload(saved_checkpoint, edit(payload), digest=False)
     wrong = len(edit(payload))
     with pytest.raises(CheckpointError, match=f"ckpt.bin: holds {wrong} bytes.* {len(payload)}"):
         load_checkpoint(saved_checkpoint)
@@ -531,12 +553,47 @@ def test_load_checkpoint_rejects_non_finite_payload(saved_checkpoint, value, fir
         payload = bytearray(f.read())
     at = 0 if first else len(payload) - 4
     payload[at : at + 4] = np.array([value], dtype="<f4").tobytes()
-    with open(saved_checkpoint + ".bin", "wb") as f:
-        f.write(payload)
+    _write_payload(saved_checkpoint, bytes(payload))  # a digest that holds reaches this check
     tensor = "head.w_c" if first else "tok_emb"  # the first and last in sorted-name order
     with pytest.raises(CheckpointError,
                        match=rf"ckpt\.bin: tensor {tensor} holds a non-finite value$"):
         load_checkpoint(saved_checkpoint)
+
+
+def test_load_checkpoint_rejects_a_payload_from_another_run(tmp_path):
+    # an interrupted re-train into the same base, or a hand copy, can pair one
+    # run's manifest with another run's payload of the very same size
+    for seed in (0, 5):
+        result = train(synthetic_examples(6), [], DESK_SMALL, TrainConfig(epochs=0, seed=seed))
+        save_checkpoint(result.final, str(tmp_path / f"seed{seed}"))
+    base = str(tmp_path / "seed5")
+    (tmp_path / "seed5.bin").write_bytes((tmp_path / "seed0.bin").read_bytes())
+    with pytest.raises(CheckpointError, match=r"seed5\.bin: its SHA-256 differs from "
+                                              r"payload_sha256 in .*seed5\.json$"):
+        load_checkpoint(base)
+
+
+def test_load_checkpoint_rejects_one_changed_payload_byte(saved_checkpoint):
+    with open(saved_checkpoint + ".bin", "rb") as f:
+        payload = bytearray(f.read())
+    payload[0] ^= 1  # the low mantissa bit of the first value: still finite
+    assert np.isfinite(np.frombuffer(bytes(payload[:4]), dtype="<f4")).all()
+    _write_payload(saved_checkpoint, bytes(payload), digest=False)
+    with pytest.raises(CheckpointError, match=r"ckpt\.bin: its SHA-256 differs"):
+        load_checkpoint(saved_checkpoint)
+
+
+def test_save_checkpoint_renames_the_payload_before_the_manifest(tmp_path, monkeypatch):
+    # a save cut short after the first rename leaves a new payload beside the
+    # old manifest, which its digest refuses; never the other way round
+    renamed = []
+    monkeypatch.setattr("sgforge.train.os.replace",
+                        lambda src, dst: (renamed.append((src, dst)), os.rename(src, dst)))
+    ckpt = train(synthetic_examples(6), [], DESK_SMALL, TrainConfig(epochs=0)).final
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(ckpt, base)
+    assert renamed == [(base + ".bin.tmp", base + ".bin"), (base + ".json.tmp", base + ".json")]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
 
 
 def test_save_checkpoint_rejects_params_the_config_does_not_describe(tmp_path):
