@@ -23,7 +23,7 @@ from .data import check_field_types
 from .errors import LengthMismatchError, SequenceTooLongError, cut
 from .graph import canonical_words
 from .tags import N_NODE_TYPES, NodeType, TaggedSentence, TaggedToken
-from .tokenizer import PAD_ID, TokenSequence, Tokenizer
+from .tokenizer import ROOT_ID, TokenSequence, Tokenizer
 
 Params = dict[str, np.ndarray]
 
@@ -205,11 +205,11 @@ def _rows(rows, width: int, fill: int) -> np.ndarray:
 
 
 def _pad(cfg: ModelConfig, seqs: list[TokenSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pad a batch with PAD_ID: ids (B, L) and true lengths (B,)."""
+    """Right-pad a batch with ROOT_ID (no padded id is read): ids (B, L), lengths (B,)."""
     lengths = np.array([len(seq) for seq in seqs])
     if lengths.max() > cfg.max_len + 1:
         raise SequenceTooLongError(f"sequence length {lengths.max()} exceeds {cfg.max_len + 1}")
-    return _rows([seq.ids for seq in seqs], lengths.max(), PAD_ID), lengths
+    return _rows([seq.ids for seq in seqs], lengths.max(), ROOT_ID), lengths
 
 
 def _block(params: Params, cfg: ModelConfig, pre: str, x: np.ndarray, real: np.ndarray,

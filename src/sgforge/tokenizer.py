@@ -1,6 +1,6 @@
 """Word and byte-pair tokenization with a reserved-id vocabulary.
 
-Vocabulary ids 0..3 are reserved for ROOT, UNK, PAD, EOS. A TokenSequence
+Vocabulary ids 0 and 1 are reserved for ROOT and UNK. A TokenSequence
 always starts with the ROOT id at position 0; word_heads points at the last
 subword of each source word (identity in word mode).
 """
@@ -15,8 +15,7 @@ from .graph import canonical_words
 
 ROOT_ID = 0
 UNK_ID = 1
-PAD_ID = 2
-RESERVED = ("<root>", "<unk>", "<pad>", "<eos>")
+RESERVED = ("<root>", "<unk>")
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def apply_bpe(word: str, ranks: dict[tuple[str, str], int]) -> list[str]:
 @dataclass(frozen=True)
 class Tokenizer:
     mode: str  # "word" or "bpe"
-    tokens: tuple[str, ...]  # id -> token string; rows 0..3 reserved
+    tokens: tuple[str, ...]  # id -> token string; rows 0 and 1 reserved
     merges: tuple[tuple[str, str], ...] = ()
     _ids: dict = field(default_factory=dict, repr=False, compare=False)
     _ranks: dict = field(default_factory=dict, repr=False, compare=False)

@@ -170,8 +170,10 @@ _CHECKPOINT_VERSION = 5
 _MANIFEST_KEYS = ("format", "version", "model_config", "train_config", "tokenizer", "metrics",
                   "payload_sha256")
 _TOKENIZER_KEYS = ("tokens", "merges")
-# what a --model-config file may set; vocab_size is the tokenizer's token count
+# the config keys save_checkpoint writes, each required: what a --model-config
+# file may set (vocab_size is the tokenizer's token count) and every TrainConfig field
 _MODEL_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "vocab_size")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
@@ -228,9 +230,8 @@ def load_checkpoint(base_path: str) -> Checkpoint:
         tokens = tuple(json_list(tok["tokens"], "tokenizer tokens", str))
         model_config = ModelConfig(vocab_size=len(tokens), **json_object(
             manifest["model_config"], "model_config", _MODEL_KEYS, _MODEL_KEYS))
-        names = [f.name for f in fields(TrainConfig)]  # save_checkpoint writes every field
         train_config = TrainConfig(**json_object(manifest["train_config"], "train_config",
-                                                 names, names))
+                                                 _TRAIN_KEYS, _TRAIN_KEYS))
         merges = json_list(tok["merges"], "tokenizer merges", list, 2)
         tokenizer = Tokenizer(
             model_config.tokenizer_mode, tokens,

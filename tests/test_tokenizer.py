@@ -25,7 +25,7 @@ import corpora  # noqa: E402
 
 def test_word_mode_encode():
     tok = Tokenizer.from_corpus(["blue bus", "red bus"], mode="word")
-    assert tok.tokens[:4] == ("<root>", "<unk>", "<pad>", "<eos>")
+    assert tok.tokens == ("<root>", "<unk>", "blue", "bus", "red")
     seq = tok.encode("blue bus")
     assert seq.ids[0] == ROOT_ID
     assert len(seq.ids) == 3
@@ -55,7 +55,7 @@ def test_apply_bpe_toy_merges():
 
 
 def test_bpe_encode_marks_word_heads():
-    tok = Tokenizer("bpe", ("<root>", "<unk>", "<pad>", "<eos>", "b", "u", "s", "us", "bus"),
+    tok = Tokenizer("bpe", ("<root>", "<unk>", "b", "u", "s", "us", "bus"),
                     (("u", "s"), ("b", "us")))
     seq = tok.encode("bus")
     assert seq.ids == (ROOT_ID, tok.tokens.index("bus"))
@@ -251,18 +251,10 @@ def test_tokenizer_rejects_merges_out_of_learning_order(merges, word, first_occu
     ("word", RESERVED + ("b", "u", "bu"), (("b", "u"),), "word-mode tokenizer has merges"),
     ("bpe", RESERVED + ("b", "u"), (("b", "u"),),
      'tokenizer merge product "bu" is not among its tokens'),
-    ("char", RESERVED, (), "unknown tokenizer mode 'char'"),
-], ids=["reserved-swapped", "repeated", "word-merges", "product-missing", "mode-unknown"])
+], ids=["reserved-swapped", "repeated", "word-merges", "product-missing"])
 def test_tokenizer_rejects_what_from_corpus_never_makes(mode, tokens, merges, needle):
     with pytest.raises(ValueError, match=needle):
         Tokenizer(mode, tokens, merges)
-
-
-def test_tokenizer_accepts_learned_tokens_that_spell_reserved_ones():
-    # canonical_words only lowercases, so a description holding "<UNK>" learns "<unk>"
-    tok = Tokenizer.from_corpus(["<UNK> bus <root>"], mode="word")
-    assert tok.tokens == RESERVED + ("<root>", "<unk>", "bus")
-    assert tok.encode("<unk>").ids == (ROOT_ID, tok.vocab_size - 2)
 
 
 def test_from_corpus_rejects_an_unknown_mode():

@@ -23,7 +23,7 @@ from sgforge.model import (
     param_shapes,
 )
 from sgforge.tags import NodeType, tagged
-from sgforge.tokenizer import TokenSequence, Tokenizer
+from sgforge.tokenizer import RESERVED, TokenSequence, Tokenizer
 from sgforge.train import (
     AdamState,
     Checkpoint,
@@ -240,7 +240,8 @@ def test_calibrate_lambda_equals_list_form_reference_bit_for_bit():
             p += rng.normal(0.0, 0.3, size=p.shape).astype(np.float32)
         batch = []
         for t in rng.integers(1, 30, size=int(rng.integers(1, 9))).tolist():
-            ids = (0,) + tuple(int(x) for x in rng.integers(4, cfg.vocab_size, size=t))
+            ids = (0,) + tuple(int(x) for x in rng.integers(len(RESERVED), cfg.vocab_size,
+                                                            size=t))
             batch.append(Encoded(TokenSequence(ids, tuple(range(1, t + 1))),
                                  rng.integers(0, 6, size=t), rng.integers(0, t + 1, size=t),
                                  None))
@@ -421,12 +422,12 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
     # must read it back and encode as the trained tokenizer did
     examples = []
     for r in generate_synthetic(8, seed=17):
-        r = replace(r, description=f"<UNK> {r.description} <Pad>")
+        r = replace(r, description=f"<UNK> {r.description} <Root>")
         examples.append(Example(r, align(r.description, r.graph).tagged))
     result = train(examples[:6], examples[6:], replace(DESK_SMALL, tokenizer_mode=mode),
                    TrainConfig(epochs=1, seed=5, batch_size=4))
     tok = result.final.tokenizer
-    assert {"<unk>", "<pad>"} <= set(tok.tokens[4:])
+    assert {"<unk>", "<root>"} <= set(tok.tokens[len(RESERVED):])
     base = str(tmp_path / "ckpt")
     save_checkpoint(result.final, base)
     loaded = load_checkpoint(base)
@@ -507,8 +508,8 @@ def test_checkpoint_of_a_corpus_that_spells_reserved_tokens_loads(tmp_path, mode
                  r"ckpt\.json: unknown manifest keys: \['step'\]$", id="unknown-manifest-key"),
     # a tokenizer block that `Tokenizer.from_corpus` never makes would encode differently
     pytest.param(lambda m: m["tokenizer"]["tokens"].insert(0, m["tokenizer"]["tokens"].pop(1)),
-                 r'ckpt\.json: tokenizer tokens must begin with \["<root>", "<unk>", "<pad>", '
-                 r'"<eos>"\]$', id="reserved-tokens-swapped"),
+                 r'ckpt\.json: tokenizer tokens must begin with \["<root>", "<unk>"\]$',
+                 id="reserved-tokens-swapped"),
     pytest.param(lambda m: m["tokenizer"]["tokens"].__setitem__(5, m["tokenizer"]["tokens"][4]),
                  r'ckpt\.json: tokenizer tokens repeat "\w+"$', id="repeated-token"),
     pytest.param(lambda m: m["tokenizer"].update(merges=[["a", "b"]]),
