@@ -179,11 +179,13 @@ _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 def save_checkpoint(ckpt: Checkpoint, base_path: str) -> None:
     """Write the {base}.bin payload, every param as little-endian float32 in
     sorted-name order, back to back, and the {base}.json manifest, which
-    holds its SHA-256. The layout follows from `param_shapes(model_config)`,
-    so the params must have exactly those names and shapes. Both files are
-    written under a .tmp suffix, then the .bin and last the .json renamed into
-    place, so an interrupted save leaves no pair that loads."""
-    cfg = replace(ckpt.model_config, vocab_size=ckpt.tokenizer.vocab_size)
+    holds its SHA-256. The vocabulary size and the mode are the tokenizer's.
+    The layout follows from `param_shapes(model_config)`, so the params must
+    have exactly those names and shapes. Both files are written under a .tmp
+    suffix, then the .bin and last the .json renamed into place, so an
+    interrupted save leaves the old pair or one that its digest refuses."""
+    cfg = replace(ckpt.model_config, vocab_size=ckpt.tokenizer.vocab_size,
+                  tokenizer_mode=ckpt.tokenizer.mode)
     if {name: p.shape for name, p in ckpt.params.items()} != param_shapes(cfg):
         raise ShapeMismatchError("checkpoint params differ from param_shapes(model_config)")
     payload = b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes()

@@ -597,6 +597,16 @@ def test_save_checkpoint_renames_the_payload_before_the_manifest(tmp_path, monke
     assert sorted(path.name for path in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
 
 
+def test_save_checkpoint_states_the_tokenizers_own_mode(tmp_path):
+    # the manifest states the mode once, as model_config.tokenizer_mode, so a
+    # config that disagrees must not make the tokenizer load in the other mode
+    ckpt = train(synthetic_examples(6), [], DESK_SMALL, TrainConfig(epochs=0)).final
+    base = str(tmp_path / "ckpt")
+    save_checkpoint(replace(ckpt, model_config=replace(ckpt.model_config,
+                                                       tokenizer_mode="bpe")), base)
+    assert load_checkpoint(base).tokenizer == ckpt.tokenizer
+
+
 def test_save_checkpoint_rejects_params_the_config_does_not_describe(tmp_path):
     # the payload stores no shapes, so a transposed tensor of the same size
     # would load silently reshaped
